@@ -101,9 +101,7 @@ def _suite_shape(b: pa.Table) -> pa.Table:
     )
 
 
-def corpus_query_suite(sf_dir: str) -> pa.Table:
-    """The full reference query suite (FIXTURES.md §3) answered by the
-    batch-evaluation actor pool over the synthetic corpus index."""
+def _corpus_query_suite(sf_dir: str, n_shards: int) -> pa.Table:
     import ray.data
 
     from textindex_ray.fixtures import queries_table
@@ -111,23 +109,21 @@ def corpus_query_suite(sf_dir: str) -> pa.Table:
 
     r = _corpus_reader(sf_dir)
     qds = ray.data.from_arrow(queries_table())
-    res = evaluate_queries(r.path, qds)
+    res = evaluate_queries(r.path, qds, n_shards=n_shards)
     return res.map_batches(_suite_shape, batch_format="pyarrow")
+
+
+def corpus_query_suite(sf_dir: str) -> pa.Table:
+    """The full reference query suite (FIXTURES.md §3) answered by the
+    doc-sharded batch evaluator over the synthetic corpus index."""
+    return _corpus_query_suite(sf_dir, n_shards=1)
 
 
 def corpus_query_suite_sharded(sf_dir: str) -> pa.Table:
-    """The same reference suite through the term-range-SHARDED evaluator
-    (query/batch_eval.py::evaluate_queries_sharded) — must equal the
-    full-index path exactly (same golden oracle)."""
-    import ray.data
-
-    from textindex_ray.fixtures import queries_table
-    from textindex_ray.query.batch_eval import evaluate_queries_sharded
-
-    r = _corpus_reader(sf_dir)
-    qds = ray.data.from_arrow(queries_table())
-    res = evaluate_queries_sharded(r.path, qds, n_shards=4)
-    return res.map_batches(_suite_shape, batch_format="pyarrow")
+    """The same reference suite over four doc-range shards
+    (query/batch_eval.py::evaluate_queries) — must equal the one-shard
+    answer exactly (same golden oracle)."""
+    return _corpus_query_suite(sf_dir, n_shards=4)
 
 
 def corpus_snippets(sf_dir: str) -> pa.Table:

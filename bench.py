@@ -383,10 +383,9 @@ def scaling() -> None:
     tp_hi = runs[hi]["docs_per_sec"]
     eff = (tp_hi / tp_lo) / (hi / lo)
 
-    # ---- serving at scale: term-range-sharded batch eval on the hi-run
-    # index (the cluster serving design: one reader actor per term range,
-    # see batch_eval.evaluate_queries_sharded) vs the single reader, on
-    # the same query batch — results must agree, both times reported
+    # ---- serving at scale: the doc-sharded batch evaluator on the hi-run
+    # index at 1 and 4 shards, on one query batch; every row must equal
+    # the in-process IndexReader.bm25_topk result
     serving = None
     idx = "/tmp/ti_bench/idx-sf%s-%d-cpus%d" % (runs[hi]["sf"], docs, hi)
     if os.path.exists(os.path.join(idx, "meta.json")):
@@ -402,11 +401,8 @@ def scaling() -> None:
         from ray.data import DataContext
 
         DataContext.get_current().enable_progress_bars = False
-        from textindex_ray.query.batch_eval import (
-            evaluate_queries,
-            evaluate_queries_doc_sharded,
-            evaluate_queries_sharded,
-        )
+        from textindex_ray.query.batch_eval import evaluate_queries
+        from textindex_ray.query.engine import IndexReader
 
         qterms = [["alpha", "beta"], ["lorem", "ipsum"],
                   ["gamma", "delta", "epsilon"], ["zebra", "sphinx"],
@@ -419,33 +415,23 @@ def scaling() -> None:
             "k": pa.array([10] * len(qterms), pa.int32()),
         })
         qds = ray.data.from_arrow(qt)
-        # warm the worker pool untimed (fresh-session actor spin-up)
-        _ = {r["qid"] for r in evaluate_queries_doc_sharded(
+        reader = IndexReader(idx)
+        want = {q: reader.bm25_topk(t, 10) for q, t in enumerate(qterms)}
+        # warm the Ray worker pool untimed (worker start-up)
+        _ = {r["qid"] for r in evaluate_queries(
             idx, qds.limit(1), n_shards=4).iter_rows()}
-        t0 = time.perf_counter()
-        single = {r["qid"]: r for r in
-                  evaluate_queries(idx, qds).iter_rows()}
-        t_single = round(time.perf_counter() - t0, 3)
-        t0 = time.perf_counter()
-        docsh = {r["qid"]: r for r in evaluate_queries_doc_sharded(
-            idx, qds, n_shards=4).iter_rows()}
-        t_doc = round(time.perf_counter() - t0, 3)
-        t0 = time.perf_counter()
-        sharded = {r["qid"]: r for r in
-                   evaluate_queries_sharded(idx, qds, n_shards=4).iter_rows()}
-        t_term = round(time.perf_counter() - t0, 3)
-        for name, got in (("doc", docsh), ("term", sharded)):
+        serving = {"queries": len(qterms)}
+        for n_shards in (1, 4):
+            t0 = time.perf_counter()
+            got = {r["qid"]: r for r in evaluate_queries(
+                idx, qds, n_shards=n_shards).iter_rows()}
+            serving["doc_sharded_%d_sec" % n_shards] = round(
+                time.perf_counter() - t0, 3)
             assert all(
-                list(single[q]["doc_ids"]) == list(got[q]["doc_ids"])
-                and list(single[q]["scores"]) == list(got[q]["scores"])
-                for q in single
-            ), "%s-sharded eval != single reader" % name
-        serving = {
-            "queries": len(qterms),
-            "single_reader_sec": t_single,
-            "doc_sharded_4_sec": t_doc,
-            "term_sharded_4_sec": t_term,
-        }
+                list(got[q]["doc_ids"]) == want[q][0].tolist()
+                and list(got[q]["scores"]) == want[q][1].tolist()
+                for q in want
+            ), "evaluate_queries(n_shards=%d) != IndexReader" % n_shards
         ray.shutdown()
 
     print(json.dumps({

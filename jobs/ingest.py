@@ -10,10 +10,12 @@ extract -> lang/source/doc_id columns) over any supported source
 (--format warc|jsonl|files|parquet) and writes the documents-shaped
 table hive-partitioned as `shard=K/` directories under `<out>/data/`
 (shard = md5(doc_id) like the curate export, so downstream jobs can
-resume per shard). Same commit contract as jobs/curate.py: a partial
-run's `data/` is wiped on re-run, `_COMMITTED` with the parameters is
-written last, a resubmit with the marker is a no-op, and different
-parameters raise.
+resume per shard). Same commit contract as jobs/curate.py: `_COMMITTED`
+with the parameters is written last, a resubmit with the marker is a
+no-op, and different parameters raise. The export is written to
+`<out>/data.tmp/` and replaces `<out>/data/` only once the write
+succeeded with at least one row, so a failing or empty run leaves the
+previous export as it was.
 
 The output feeds every documents-table operator directly:
 
@@ -77,15 +79,31 @@ def main(argv=None) -> int:
         sh = export_shard(b.column("doc_id").to_pylist(), S)
         return b.append_column("shard", pa.array(sh, pa.int64()))
 
-    data_dir = os.path.join(args.out, "data")
-    if os.path.isdir(data_dir):
-        import shutil
+    # write beside data/ and swap it in only after the write succeeded:
+    # a failing or empty run must leave the last export intact
+    import shutil
 
-        shutil.rmtree(data_dir)
-    docs.map_batches(add_shard, batch_format="pyarrow").write_parquet(
-        data_dir, partition_cols=["shard"], min_rows_per_file=50_000
-    )
-    n = ray.data.read_parquet(data_dir).count()
+    import pyarrow.dataset as pads
+
+    data_dir = os.path.join(args.out, "data")
+    tmp_dir = data_dir + ".tmp"
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    try:
+        docs.map_batches(add_shard, batch_format="pyarrow").write_parquet(
+            tmp_dir, partition_cols=["shard"], min_rows_per_file=50_000
+        )
+        n = (pads.dataset(tmp_dir, format="parquet").count_rows()
+             if os.path.isdir(tmp_dir) else 0)
+        if n == 0:
+            raise SystemExit(
+                "ingest produced no documents from %s; %s left unchanged"
+                % (args.inp, data_dir)
+            )
+        if os.path.isdir(data_dir):
+            shutil.rmtree(data_dir)
+        os.replace(tmp_dir, data_dir)
+    finally:
+        shutil.rmtree(tmp_dir, ignore_errors=True)
 
     with open(marker + ".tmp", "w") as f:
         json.dump(params, f)

@@ -29,6 +29,10 @@ def main(argv=None) -> int:
     ap.add_argument("--dist", type=int, default=1,
                     help="max edit distance for `fuzzy` (kernel/fuzzy.py)")
     args = ap.parse_intermixed_args(argv)
+    if args.mode in ("fuzzy", "delete") and not args.terms:
+        # an empty term would fuzzy-match short vocabulary entries or
+        # tombstone the urls an empty glob matches
+        ap.error("%s needs a term" % args.mode)
 
     if args.mode == "delete":
         # reference `delete <glob>` (main.rs:278-284; its remove_file was a
@@ -36,7 +40,7 @@ def main(argv=None) -> int:
         # query time, compacted on the next merge/update
         from textindex_ray.index.segments import delete_docs_all
 
-        n = delete_docs_all(args.index, args.terms[0] if args.terms else "")
+        n = delete_docs_all(args.index, args.terms[0])
         print(json.dumps({"deleted": n}))
         return 0
 
@@ -119,7 +123,7 @@ def main(argv=None) -> int:
     if args.mode == "fuzzy":
         # spell-tolerant find: vocabulary terms within --dist of the
         # query, posting union (works on plain and segmented indexes)
-        ids = r.find_fuzzy(args.terms[0] if args.terms else "", args.dist)
+        ids = r.find_fuzzy(args.terms[0], args.dist)
         lo = args.page * 20
         page = ids[lo : lo + 20]
         print(json.dumps({

@@ -170,3 +170,20 @@ def test_find_fuzzy_segmented(ray_session, tmp_path):
     assert r.urls_for(hits) == ["http://s/2"]
     assert r.find_fuzzy("cta", 1).size == 0  # distance 2 from "cat"
     assert r.find_fuzzy("cat", 1).size >= 1
+
+
+def test_query_cli_fuzzy_and_delete_need_a_term(tmp_path, capsys):
+    """jobs/query.py: `fuzzy` and `delete` without a term are usage
+    errors (exit 2) and touch no index — an empty glob must never reach
+    delete_docs_all."""
+    import pytest
+
+    from jobs.query import main
+
+    idx = tmp_path / "idx"
+    for mode in ("fuzzy", "delete"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--index", str(idx), mode])
+        assert exc.value.code == 2, mode
+        assert "needs a term" in capsys.readouterr().err, mode
+    assert not idx.exists()

@@ -169,6 +169,40 @@ def test_url_doc_id_sql_twin():
         assert got == url_doc_id(u), u
 
 
+def test_ingest_cli_failure_keeps_last_export(ray_session, tmp_path, monkeypatch):
+    """jobs/ingest.py writes the new export beside data/ and swaps it in
+    only after the write succeeded: a run that fails mid-write, or that
+    produces no documents, leaves the previous data/ untouched."""
+    import pytest
+    import ray.data
+
+    import textindex_ray.pipelines.ingest as ingest_mod
+    from jobs.ingest import main
+
+    out = tmp_path / "docs"
+    old = out / "data" / "shard=0"
+    old.mkdir(parents=True)
+    pq.write_table(pa.table({"doc_id": pa.array([7], pa.int64())}),
+                   old / "part.parquet")
+    before = (old / "part.parquet").read_bytes()
+
+    def boom(b):
+        raise RuntimeError("ingest failed mid-write")
+
+    failing = ray.data.from_items([{"doc_id": 1}]).map_batches(
+        boom, batch_format="pyarrow")
+    empty = ray.data.from_items([{"doc_id": 1}]).filter(lambda r: False)
+    args = ["--in", str(tmp_path / "nowhere"), "--format", "parquet",
+            "--out", str(out), "--shards", "4"]
+    for ds, err in ((failing, Exception), (empty, SystemExit)):
+        monkeypatch.setattr(ingest_mod, "ingest_corpus", lambda *a, _ds=ds, **k: _ds)
+        with pytest.raises(err):
+            main(args)
+        assert sorted(os.listdir(out)) == ["data"]
+        assert os.listdir(out / "data") == ["shard=0"]
+        assert (old / "part.parquet").read_bytes() == before
+
+
 def test_ingest_dedup_urls(ray_session, tmp_path):
     """Duplicate captures of one url collapse keep-one (deterministic
     lexicographic winner); dedup_urls=False keeps both; empty corpus

@@ -1,6 +1,6 @@
 """Reference query suite conformance (FIXTURES.md §3 / SURVEY.md §5.4):
 the distributed engine answers the whole suite rank-identically to the
-oracle goldens, through the batch-evaluation actor pool."""
+oracle goldens, through the doc-sharded batch evaluator."""
 
 import numpy as np
 import pytest
@@ -45,142 +45,98 @@ def test_suite_rank_identical(suite):
             )
 
 
-def test_suite_sharded_with_tombstones(suite, tmp_path):
-    """Sharded evaluation respects tombstones identically to the
-    full-index path (the mask applies inside every shard's reader)."""
+def _tombstoned_copy(index_path, dest, victims_of):
+    """Copy the index to dest and tombstone the urls victims_of(reader)
+    picks; returns (dest, tombstoned docIDs)."""
     import shutil
 
+    from textindex_ray.index.delete import delete_docs, load_tombstones
+
+    shutil.copytree(index_path, dest)
+    r = IndexReader(dest)
+    for u in victims_of(r):
+        assert delete_docs(dest, u) == 1
+    return dest, set(load_tombstones(dest).tolist())
+
+
+def test_suite_sharded_with_tombstones(suite, tmp_path, check_eval_matches_reader):
+    """On a tombstoned index the evaluator equals the in-process reader
+    (the mask applies inside every shard's reader) and returns no
+    deleted doc."""
     import ray.data
 
-    from textindex_ray.index.delete import delete_docs
-    from textindex_ray.query.batch_eval import (
-        evaluate_queries,
-        evaluate_queries_sharded,
-    )
-    from textindex_ray.query.engine import IndexReader
+    from textindex_ray.query.batch_eval import evaluate_queries
 
     index_path, _ = suite
-    idx = str(tmp_path / "idx_tomb")
-    shutil.copytree(index_path, idx)
-    r = IndexReader(idx)
-    victims = r.urls_for(r.find(["alpha"])[:3])
-    for u in victims:
-        assert delete_docs(idx, u) == 1
-
-    qds = ray.data.from_arrow(queries_table())
-    base = {r2["qid"]: r2 for r2 in evaluate_queries(idx, qds).iter_rows()}
-    shard = {
-        r2["qid"]: r2
-        for r2 in evaluate_queries_sharded(idx, qds, n_shards=3).iter_rows()
-    }
-    assert base.keys() == shard.keys()
-    deleted_internal = set()
-    r2 = IndexReader(index_path)
-    dm = r2.docmap(columns=["doc_id", "url"])
-    for d, u in zip(dm.column("doc_id").to_pylist(), dm.column("url").to_pylist()):
-        if u in victims:
-            deleted_internal.add(int(d))
-    for qid in base:
-        assert shard[qid]["doc_ids"] == base[qid]["doc_ids"], qid
-        np.testing.assert_allclose(
-            shard[qid]["scores"], base[qid]["scores"], rtol=0, atol=0
-        )
-        assert not (set(base[qid]["doc_ids"]) & deleted_internal), qid
-
-
-def test_suite_sharded_identical(suite):
-    """Term-range-sharded evaluation == full-index evaluation, rank AND
-    float64 score identical (the reduce replays sorted-term-order
-    accumulation), for several shard counts."""
-    import ray.data
-
-    from textindex_ray.query.batch_eval import evaluate_queries_sharded
-
-    index_path, oracle = suite
-    qds = ray.data.from_arrow(queries_table())
-    base = {r["qid"]: r for r in evaluate_queries(index_path, qds).iter_rows()}
-    # segment_size=7 forces every term's postings through the multi-row
-    # partial path (the bounded-cell contract for huge-df terms)
-    for n_shards, seg in ((1, 65536), (3, 65536), (8, 65536), (3, 7)):
-        got = {
-            r["qid"]: r
-            for r in evaluate_queries_sharded(
-                index_path, qds, n_shards=n_shards, segment_size=seg
-            ).iter_rows()
-        }
-        assert set(got) == set(base), (n_shards, seg)
-        for qid in base:
-            assert got[qid]["doc_ids"] == base[qid]["doc_ids"], (n_shards, seg, qid)
-            np.testing.assert_allclose(
-                got[qid]["scores"], base[qid]["scores"], rtol=0, atol=0,
-                err_msg=str((n_shards, seg, qid)),
-            )
-
-
-def test_suite_doc_sharded_identical(suite):
-    """Doc-range-sharded evaluation (the serving partition) ==
-    full-index evaluation, rank AND float64 score identical: each doc's
-    complete score is computed inside one shard with global stats, so
-    the k-row-per-shard merge is exact. Several shard counts, incl. 1."""
-    import ray.data
-
-    from textindex_ray.query.batch_eval import (
-        evaluate_queries,
-        evaluate_queries_doc_sharded,
+    idx, deleted = _tombstoned_copy(
+        index_path, str(tmp_path / "idx_tomb"),
+        lambda r: r.urls_for(r.find(["alpha"])[:3]),
     )
-
-    index_path, oracle = suite
+    assert len(deleted) == 3
+    check_eval_matches_reader(idx, IndexReader(idx), queries_table())
     qds = ray.data.from_arrow(queries_table())
-    base = {r["qid"]: r for r in evaluate_queries(index_path, qds).iter_rows()}
-    for n_shards in (1, 3, 8):
-        got = {
-            r["qid"]: r
-            for r in evaluate_queries_doc_sharded(
-                index_path, qds, n_shards=n_shards
-            ).iter_rows()
-        }
-        assert set(got) == set(base), n_shards
-        for qid in base:
-            assert got[qid]["doc_ids"] == base[qid]["doc_ids"], (n_shards, qid)
-            np.testing.assert_allclose(
-                got[qid]["scores"], base[qid]["scores"], rtol=0, atol=0,
-                err_msg=str((n_shards, qid)),
-            )
+    for row in evaluate_queries(idx, qds, n_shards=3).iter_rows():
+        assert not (set(row["doc_ids"]) & deleted), row["qid"]
 
 
-def test_doc_sharded_with_tombstones(suite, tmp_path):
-    """Doc-sharded evaluation respects tombstones identically (mask
-    applies inside every shard's reader)."""
-    import shutil
+def test_suite_sharded_identical(suite, check_eval_matches_reader):
+    """The reference suite through evaluate_queries == the in-process
+    IndexReader, rank AND float64 score identical, at 1, 3 and 8 doc
+    shards (each doc's complete score is computed inside one shard with
+    global stats, so the k-row-per-shard merge is exact)."""
+    index_path, _ = suite
+    check_eval_matches_reader(index_path, IndexReader(index_path), queries_table())
 
-    import ray.data
 
-    from textindex_ray.index.delete import delete_docs
-    from textindex_ray.query.batch_eval import (
-        evaluate_queries,
-        evaluate_queries_doc_sharded,
-    )
-    from textindex_ray.query.engine import IndexReader
+def test_suite_doc_sharded_identical(suite, check_eval_matches_reader):
+    """Merge edge cases == the in-process reader: k=1, k missing (0 means
+    10), k above the hit count, absent and repeated terms, an empty term
+    list, and more shards than the index has buckets (clamped)."""
+    import pyarrow as pa
 
     index_path, _ = suite
-    idx = str(tmp_path / "idx_tomb_ds")
-    shutil.copytree(index_path, idx)
-    r = IndexReader(idx)
-    victims = r.urls_for(r.find(["alpha"])[:3])
-    for u in victims:
-        assert delete_docs(idx, u) == 1
+    rows = [
+        ("bm25_topk", ["alpha", "beta"], 1),
+        ("bm25_topk", ["lorem", "ipsum"], 0),
+        ("bm25_topk", ["zebra"], 1000),
+        ("bm25_topk", ["alpha", "alpha", "nosuchterm"], 10),
+        ("bm25_topk", [], 10),
+        ("term_and", ["nosuchterm"], 0),
+        ("wildcard_and", ["zzz*"], 0),
+        ("term_and", [], 0),
+        ("file_glob", ["*nosuchurl*"], 0),
+    ]
+    queries = pa.table({
+        "qid": pa.array(range(len(rows)), pa.int32()),
+        "kind": pa.array([kind for kind, _, _ in rows]),
+        "terms": pa.array([t for _, t, _ in rows], pa.list_(pa.string())),
+        "k": pa.array([k for _, _, k in rows], pa.int32()),
+    })
+    check_eval_matches_reader(
+        index_path, IndexReader(index_path), queries, shard_counts=(1, 3, 64)
+    )
 
-    qds = ray.data.from_arrow(queries_table())
-    base = {r2["qid"]: r2 for r2 in evaluate_queries(idx, qds).iter_rows()}
-    shard = {
-        r2["qid"]: r2
-        for r2 in evaluate_queries_doc_sharded(idx, qds, n_shards=3).iter_rows()
-    }
-    for qid in base:
-        assert shard[qid]["doc_ids"] == base[qid]["doc_ids"], qid
-        np.testing.assert_allclose(
-            shard[qid]["scores"], base[qid]["scores"], rtol=0, atol=0
-        )
+
+def test_doc_sharded_with_tombstones(suite, tmp_path, check_eval_matches_reader):
+    """A doc shard whose every doc is tombstoned contributes nothing:
+    the evaluator still equals the in-process reader at every shard
+    count."""
+    from textindex_ray.query.batch_eval import doc_shard_boundaries
+
+    index_path, _ = suite
+    lo, hi = doc_shard_boundaries(index_path, 3)[0]
+
+    def first_shard_urls(r):
+        dm = r.docmap(columns=["doc_id", "url"])
+        return [u for d, u in zip(dm.column("doc_id").to_pylist(),
+                                  dm.column("url").to_pylist())
+                if lo <= d < hi]
+
+    idx, deleted = _tombstoned_copy(
+        index_path, str(tmp_path / "idx_tomb_ds"), first_shard_urls
+    )
+    assert deleted and all(lo <= d < hi for d in deleted)
+    check_eval_matches_reader(idx, IndexReader(idx), queries_table())
 
 
 def test_bm25_server_identity_and_amortization(suite):

@@ -112,44 +112,24 @@ def test_segmented_reader_equals_full_build(seg_setup):
     assert sorted(r.resolve_terms("alp*")) == sorted(rr.resolve_terms("alp*"))
 
 
-def test_segmented_batch_eval_and_server(seg_setup):
-    import ray.data
+def test_segmented_batch_eval_and_server(seg_setup, check_eval_matches_reader):
+    import pyarrow as pa
 
-    from textindex_ray.query.batch_eval import evaluate_queries_doc_sharded
     from textindex_ray.query.serve import BM25Server
 
     idx = seg_setup["idx"]
     r = SegmentedReader(idx)
-    qds = ray.data.from_items(
-        [{"qid": i, "kind": "bm25_topk", "terms": list(q), "k": 10}
-         for i, q in enumerate(QUERIES)]
-        + [{"qid": 90, "kind": "term_and", "terms": ["alpha", "beta"], "k": 10},
-           {"qid": 91, "kind": "wildcard_and", "terms": ["alp*"], "k": 10},
-           {"qid": 92, "kind": "file_glob", "terms": ["*doc*"], "k": 10}]
-    )
-    got = {row["qid"]: row
-           for row in evaluate_queries_doc_sharded(idx, qds, n_shards=4).iter_rows()}
-    for i, q in enumerate(QUERIES):
-        ids, sc = r.bm25_topk(q, 10)
-        assert got[i]["doc_ids"] == [int(x) for x in ids], q
-        assert got[i]["scores"] == sc.tolist(), q
-    assert got[90]["doc_ids"] == [int(x) for x in r.find(["alpha", "beta"])]
-    assert got[91]["doc_ids"] == [int(x) for x in r.find(["alp*"])]
-    assert got[92]["scores"] == [float(len(r.find_files("*doc*")))]
-
-    # evaluate_queries / evaluate_queries_sharded must dispatch to the
-    # segmented path (NOT silently score the base segment only)
-    from textindex_ray.query.batch_eval import (
-        evaluate_queries,
-        evaluate_queries_sharded,
-    )
-
-    for alt in (evaluate_queries(idx, qds),
-                evaluate_queries_sharded(idx, qds, n_shards=3)):
-        rows = {row["qid"]: row for row in alt.iter_rows()}
-        for qid in got:
-            assert rows[qid]["doc_ids"] == got[qid]["doc_ids"], qid
-            assert rows[qid]["scores"] == got[qid]["scores"], qid
+    rows = ([("bm25_topk", list(q)) for q in QUERIES]
+            + [("term_and", ["alpha", "beta"]), ("wildcard_and", ["alp*"]),
+               ("file_glob", ["*doc*"])])
+    queries = pa.table({
+        "qid": pa.array(range(len(rows)), pa.int32()),
+        "kind": pa.array([kind for kind, _ in rows]),
+        "terms": pa.array([t for _, t in rows], pa.list_(pa.string())),
+        "k": pa.array([10] * len(rows), pa.int32()),
+    })
+    # ids in the gid space: a base-only scorer would miss the deltas' docs
+    check_eval_matches_reader(idx, r, queries)
 
     srv = BM25Server(idx, n_shards=3, num_cpus=0.25)
     try:

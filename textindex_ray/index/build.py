@@ -5,28 +5,30 @@ Ray-Data-first physical plan (SURVEY.md §3.1 / §7):
     Phase T  tokenize   read_parquet(corpus, columns=url/html)
                         -> map_batches(ExtractTokenize, actor pool; the
                            classifier is fused into the actor)
-                        -> write_parquet(out/tokenized)   [optional checkpoint]
-    Phase P  postings   (tokenized | fused extract)
-                        -> groupby(bucket).map_groups(assign+explode)
-                           (deterministic docIDs; docmap parts written
-                            atomically inside the group task)
-                        -> sort(term, doc_id)              [the wide step]
-                        -> map_batches(encode_chunks)      [delta+varint]
+                        -> write_parquet(out/tokenized, partition_cols=bucket)
+                           [checkpoint=True only]
+    Phase P  postings   one task per bucket: staging dir bucket=K
+                        (checkpoint=True) or groupby(bucket).map_groups
+                        (checkpoint=False), both running
+                        make_assign_and_build:
+                          assign docIDs + write the docmap part atomically
+                          -> explode (term, doc_id, tf, dl)
+                          -> in-task sort (term, doc_id)
+                          -> encode chunks [delta+varint]
                         -> write_parquet(out/index)
     Phase S  stats      docmap dl -> N/avgdl (driver-side below 256MB,
                         distributed aggregate above)
     Phase D  dict       read(index: term,n,cf) -> groupby(term).sum -> out/dict
 
-Shuffle inventory: ONE hash shuffle keyed on ``bucket`` (doc-granular,
-before postings explode — the small side of the data) and ONE range
-shuffle on ``(term, doc_id)`` (the postings sort). The sort handles
-heavy-hitter skew natively: a hot term's postings span several range
-partitions and simply produce several chunk rows — the index format is
-chunked per term, so no per-term all-in-one-task reduce exists anywhere
-(contrast the reference's single merge thread + 256 frequency bags,
-threads.rs:523-561, word_map.rs:23-43). An explicit salted
-groupby-aggregate variant is provided by build_postings_hash() for
-comparison; both produce identical indexes.
+Shuffle inventory: the only all-to-all is doc-granular and keyed on
+``bucket`` — the hive-partitioned staging write (a map-side scatter) or,
+without a checkpoint, one groupby(bucket). It runs before postings
+explode, on the small side of the data. Buckets own disjoint docID
+ranges, so each bucket writes its own chunk rows per term and no task
+ever holds one term's whole posting list: a hot term is spread evenly
+over buckets by the md5 bucketing (contrast the reference's single
+merge thread + 256 frequency bags, threads.rs:523-561,
+word_map.rs:23-43).
 
 DocIDs: ``doc_id = bucket << 36 | rank_of_url_within_bucket`` with
 ``bucket = md5(url)[:2 bytes] % num_buckets`` — deterministic,
@@ -286,123 +288,6 @@ def _empty_chunks() -> pa.Table:
     )
 
 
-SALT_SHIFT = 14  # heavy-term salting: doc-range groups of 2^14 local ids
-
-
-def build_postings_hash(postings, chunk_size: int, *, heavy_df: int = 100_000):
-    """Posting-list construction via explicit term-hash groupby-aggregate
-    with heavy-hitter skew splitting (the north-star mechanism; the
-    default build uses the range-sort path, which handles skew natively —
-    both produce the same postings).
-
-    1. df estimation: per-batch partial term counts (pre-aggregation,
-       one row per term per block) -> small groupby(term).sum -> the
-       heavy set (df > heavy_df) is collected on the driver (few terms
-       by construction) and broadcast via ray.put.
-    2. salting: a heavy term's shuffle key becomes
-       ``term \x00 hex(doc_id >> SALT_SHIFT)`` — doc-RANGE salts, so each
-       salted group holds a contiguous, disjoint docID range and its
-       encoded chunks are globally ordered without a re-merge.
-    3. coarse-partition groupby: sort by (term, doc_id) inside the
-       partition, delta+varint encode (many skey groups per Ray group —
-       per-group Python cost stays O(partitions)).
-    """
-    # the df-estimation pass and the encode pass both consume `postings`;
-    # materialize once so the expensive extract+groupby lineage does not
-    # re-execute for the second pass
-    postings = postings.materialize()
-
-    import zlib
-
-    P = 64  # coarse partition count for the term-keyed steps
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        vc = pc.value_counts(batch.column("term").combine_chunks())
-        terms = vc.field("values")
-        part = pa.array(
-            [zlib.crc32(t.encode("utf-8")) % P for t in terms.to_pylist()],
-            pa.int32(),
-        )
-        return pa.table(
-            {"term": terms, "c": vc.field("counts").cast(pa.int64()),
-             "part": part}
-        )
-
-    def part_df_sum(g: pa.Table) -> pa.Table:
-        t = g.group_by("term").aggregate([("c", "sum")])
-        return pa.table(
-            {"term": t.column("term"), "df": t.column("c_sum").cast(pa.int64())}
-        )
-
-    def only_heavy(b: pa.Table) -> pa.Table:
-        return b.filter(pa.array(b.column("df").to_numpy() > heavy_df))
-
-    # partition-bucketed df estimate (a groupby(term) would pay the
-    # per-group Python cost over the whole vocabulary); only the heavy
-    # rows — few by construction — reach the driver
-    heavy_rows = (
-        postings.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_df_sum, batch_format="pyarrow")
-        .map_batches(only_heavy, batch_format="pyarrow")
-        .take_all()
-    )
-    heavy = {r["term"] for r in heavy_rows}
-    heavy_ref = ray.put(heavy)
-
-    def add_skey(batch: pa.Table) -> pa.Table:
-        hv = ray.get(heavy_ref)
-        terms = batch.column("term").to_pylist()
-        if hv:
-            ids = batch.column("doc_id").to_numpy()
-            skeys = [
-                t if t not in hv else "%s\x00%012x" % (t, int(i) >> SALT_SHIFT)
-                for t, i in zip(terms, ids)
-            ]
-        else:
-            skeys = terms
-        part = pa.array(
-            [zlib.crc32(k.encode("utf-8")) % P for k in skeys], pa.int32()
-        )
-        return batch.append_column(
-            "skey", pa.array(skeys, pa.string())
-        ).append_column("part", part)
-
-    encode = make_encode_chunks(chunk_size)
-
-    def encode_group(group: pa.Table) -> pa.Table:
-        # one coarse partition = many skey groups; each skey RUN encodes
-        # separately (a chunk must never span a salt-range gap — two salt
-        # ranges of a term in one partition with the middle range
-        # elsewhere would otherwise produce overlapping chunk doc-ranges,
-        # breaking the reader's sorted-disjoint-chunks contract). The
-        # per-run Python cost is microseconds vs Ray's ~0.2 ms per group.
-        order = pc.sort_indices(
-            group, [("skey", "ascending"), ("doc_id", "ascending")]
-        )
-        t = group.take(order)
-        n = t.num_rows
-        if n == 0:
-            return _empty_chunks()
-        sk = t.column("skey").combine_chunks()
-        t = t.drop_columns(["skey", "part"])
-        eq = pc.equal(sk.slice(1, n - 1), sk.slice(0, n - 1)).to_numpy(
-            zero_copy_only=False
-        )
-        starts = np.concatenate(([0], np.flatnonzero(~eq) + 1, [n]))
-        parts = [
-            encode(t.slice(st, en - st))
-            for st, en in zip(starts[:-1], starts[1:])
-        ]
-        return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
-
-    return (
-        postings.map_batches(add_skey, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(encode_group, batch_format="pyarrow")
-    )
-
-
 def build_dict_distributed(
     index_data_dir: str, dict_data_dir: str, *, num_partitions: int = 64
 ) -> None:
@@ -521,33 +406,6 @@ def read_corpus(corpus_path, input_format: str = "parquet") -> "ray.data.Dataset
     return ray.data.read_parquet(corpus_path, columns=["url", "html"])
 
 
-def _build_postings_shuffled(tok, docmap_dir, index_dir, shuffle, chunk_size,
-                             heavy_df, timings, t0):
-    """Shuffled postings construction (non-partitioned staging or
-    checkpoint=False): one bucket groupby, then in-task build
-    ("bucket"), a global (term, doc_id) range sort ("sort"), or the
-    salted term-hash groupby ("hash")."""
-    if shuffle == "bucket":
-        chunks = tok.groupby("bucket").map_groups(
-            make_assign_and_build(_data(docmap_dir), chunk_size),
-            batch_format="pyarrow",
-        )
-    else:
-        postings = tok.groupby("bucket").map_groups(
-            make_assign_and_explode(_data(docmap_dir)), batch_format="pyarrow"
-        )
-        if shuffle == "hash":
-            chunks = build_postings_hash(postings, chunk_size, heavy_df=heavy_df)
-        else:
-            chunks = postings.sort(["term", "doc_id"]).map_batches(
-                make_encode_chunks(chunk_size), batch_format="pyarrow"
-            )
-    chunks.write_parquet(_data(index_dir))
-    timings["postings_sec"] = time.time() - t0
-    _commit(docmap_dir, {"phase": "docmap", "sec": timings["postings_sec"]})
-    _commit(index_dir, {"phase": "index", "sec": timings["postings_sec"]})
-
-
 def build_index(
     corpus_path,
     out_dir: str,
@@ -559,16 +417,17 @@ def build_index(
     keep_text: bool = False,
     checkpoint: bool = True,
     resume: bool = True,
-    shuffle: str = "bucket",
-    heavy_df: int = 100_000,
     input_format: str = "parquet",
 ) -> dict:
     """Run the full build. Returns the meta dict (N, avgdl, timings).
 
-    checkpoint=True (default) writes the tokenized staging table and is
-    the resume boundary (re-runs skip extraction); checkpoint=False fuses
-    extract straight into the postings shuffle (single streaming
-    pipeline, index-granular resume only).
+    checkpoint=True (default) writes the tokenized staging table,
+    hive-partitioned by bucket, and is the resume boundary (re-runs skip
+    extraction); each bucket dir is then built by one task.
+    checkpoint=False fuses extract straight into a groupby(bucket)
+    shuffle (single streaming pipeline, index-granular resume only).
+    Both routes run the same per-bucket build (make_assign_and_build),
+    so they write the same chunk rows.
 
     input_format: "parquet" (the corpus table), "files" (a loose-file
     directory tree, the reference's walk source — read_binary_files with
@@ -641,7 +500,7 @@ def build_index(
         _commit(tok_dir, {"phase": "tokenize", "sec": timings["tokenize_sec"]},
                 {"num_buckets": num_buckets})
 
-    # ---- Phase P: docIDs + postings (the wide step) -----------------------
+    # ---- Phase P: docIDs + postings, one task per bucket -----------------
     if not have_idx:
         t0 = time.time()
         _fresh(docmap_dir)
@@ -656,7 +515,7 @@ def build_index(
         ):
             # rows existed but every document classified 'ignore'
             return _write_empty_index(out_dir, num_buckets, chunk_size)
-        if checkpoint and shuffle == "bucket" and bucket_dirs:
+        if bucket_dirs:
             # the staging write already scattered docs by bucket: build each
             # bucket's mini-index from its own partition dir — zero Ray
             # shuffle in this phase (embarrassingly parallel over buckets)
@@ -685,19 +544,23 @@ def build_index(
             chunks = bds.map_batches(
                 build_bucket, batch_format="pyarrow", batch_size=1
             )
-            chunks.write_parquet(_data(index_dir))
-            timings["postings_sec"] = time.time() - t0
-            _commit(docmap_dir, {"phase": "docmap", "sec": timings["postings_sec"]}, params)
-            _commit(index_dir, {"phase": "index", "sec": timings["postings_sec"]}, params)
         else:
-            _build_postings_shuffled(
-                extract_pipeline() if not checkpoint else ray.data.read_parquet(
-                    _data(tok_dir),
-                    columns=["url", "bucket", "doctype", "dl", "n_words", "terms", "tfs"],
-                ),
-                docmap_dir, index_dir, shuffle, chunk_size, heavy_df, timings, t0,
+            # checkpoint=False (or a staging table without bucket dirs):
+            # the docs go through the one doc-level shuffle,
+            # groupby(bucket), and the same per-bucket build runs inside
+            # each group task
+            tok = extract_pipeline() if not checkpoint else ray.data.read_parquet(
+                _data(tok_dir),
+                columns=["url", "bucket", "doctype", "dl", "n_words", "terms", "tfs"],
             )
-
+            chunks = tok.groupby("bucket").map_groups(
+                make_assign_and_build(_data(docmap_dir), chunk_size),
+                batch_format="pyarrow",
+            )
+        chunks.write_parquet(_data(index_dir))
+        timings["postings_sec"] = time.time() - t0
+        _commit(docmap_dir, {"phase": "docmap", "sec": timings["postings_sec"]}, params)
+        _commit(index_dir, {"phase": "index", "sec": timings["postings_sec"]}, params)
 
     # ---- Phase S: corpus stats (from the docmap; driver-side when small) --
     t0 = time.time()

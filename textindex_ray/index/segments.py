@@ -16,7 +16,7 @@ mass crosses a compaction ratio. Queries run through
 lives in exactly ONE segment because the update path anti-joins urls
 against every committed segment, so per-segment scoring with global
 stats plus a top-k merge equals the fully merged index — the
-doc-sharded serving algebra of query/batch_eval.py).
+doc-sharded serving algebra of query/batch_eval.py::evaluate_queries).
 
 The list file is the commit point: a crash after a delta build but
 before the ``segments.json`` rewrite leaves an orphan directory under

@@ -1,24 +1,37 @@
 """Distributed batch query evaluation: a Dataset of queries scored
-against the index by an actor pool (SURVEY.md §3.2: "batch query
+against the index by doc-range shards (SURVEY.md §3.2: "batch query
 evaluation over the reference query set runs as a small map_batches
 job").
 
-Two shapes:
+One evaluator, :func:`evaluate_queries`, over
+``list_segments(index_path)``: a plain index is the one-segment case
+(segment id bits 0, corpus stats equal to its meta.json, global dfs
+equal to its own dictionary), so plain and segmented indexes take the
+same path and return the same rows as ``IndexReader`` /
+``SegmentedReader``.
 
-- evaluate_queries: each actor holds the FULL index (dictionary +
-  preloaded chunk table once in __init__); queries stream through.
-  Right when the index fits a worker.
-- evaluate_queries_sharded: term-RANGE sharding — the vocabulary is cut
-  into contiguous ranges, each (query x shard) task loads only its
-  range's dictionary slice + chunk rows (parquet predicate pushdown),
-  emits per-term partials, and a groupby(qid) reduce re-accumulates in
-  global sorted-term order. Because the reduce replays the exact
-  term-at-a-time float64 accumulation, results are rank- AND
-  score-identical to the unsharded path (tested). This is the path for
-  indexes larger than a worker's memory.
+Each shard is one (segment, doc_range) slice. A doc lives in exactly one
+segment (update-path url disjointness) and one doc range, so a shard
+computes every one of its docs' COMPLETE BM25 sums locally with
+CORPUS-WIDE stats (N/avgdl from the segment metas, per-term df summed
+over segment dictionaries):
+
+- bm25_topk: per-shard exact top-k -> merge = lexsort over
+  n_shards x k rows. Exact because per-doc scores are shard-local and
+  the global (score desc, doc_id asc) selection over the union of
+  complete per-shard top-ks equals the unsharded selection.
+- term_and / wildcard_and: per-shard AND result; shards are disjoint,
+  so the merge is a concatenation + sort.
+- file_glob: the url surface is per segment, not per doc range; each
+  segment's first shard counts its urls and the merge sums them.
+
+The exchange is O(n_shards x k) per query.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 import numpy as np
 import pyarrow as pa
@@ -26,106 +39,26 @@ import pyarrow as pa
 import ray.data
 
 
-class QueryEvalActor:
-    def __init__(self, index_path: str):
-        from textindex_ray.query.engine import IndexReader
-
-        self.reader = IndexReader(index_path)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids = batch.column("qid").to_pylist()
-        kinds = batch.column("kind").to_pylist()
-        terms_col = batch.column("terms").to_pylist()
-        ks = batch.column("k").to_pylist() if "k" in batch.column_names else [10] * len(qids)
-        out_qid, out_ids, out_scores = [], [], []
-        for qid, kind, terms, k in zip(qids, kinds, terms_col, ks):
-            if kind in ("term_and", "wildcard_and"):
-                ids = self.reader.find(list(terms))
-                scores = [0.0] * len(ids)
-            elif kind == "bm25_topk":
-                ids, sc = self.reader.bm25_topk_wand(list(terms), int(k) or 10)
-                scores = sc.tolist()
-            elif kind == "file_glob":
-                urls = self.reader.find_files(terms[0] if terms else "*")
-                out_qid.append(qid)
-                out_ids.append([])
-                out_scores.append([float(len(urls))])
-                continue
-            else:
-                ids, scores = [], []
-            out_qid.append(qid)
-            out_ids.append([int(i) for i in ids])
-            out_scores.append(list(scores))
-        return pa.table(
-            {
-                "qid": pa.array(out_qid, pa.int32()),
-                "doc_ids": pa.array(out_ids, pa.list_(pa.uint64())),
-                "scores": pa.array(out_scores, pa.list_(pa.float64())),
-            }
-        )
-
-
-def evaluate_queries(
-    index_path: str, queries: "ray.data.Dataset", *, concurrency=2
-) -> "ray.data.Dataset":
-    """queries schema: qid:int32, kind:string, terms:list<string>[, k:int32].
-
-    A SEGMENTED index dispatches to :func:`evaluate_queries_segmented`
-    (ids in the SegmentedReader gid space) — an IndexReader on a
-    segmented dir would silently score the base segment only.
-    """
-    from textindex_ray.index.segments import is_segmented
-
-    if is_segmented(index_path):
-        return evaluate_queries_segmented(
-            index_path, queries, n_shards=max(2, int(concurrency)))
-    return queries.map_batches(
-        QueryEvalActor,
-        fn_constructor_kwargs={"index_path": index_path},
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
-
-
-# ---------------------------------------------------------------------------
-# term-range sharded evaluation
-
-
-def shard_boundaries(index_path: str, n_shards: int) -> list[tuple[str, str | None]]:
-    """Cut the sorted vocabulary into n contiguous (lo, hi) ranges."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    terms = pq.read_table(
-        os.path.join(index_path, "dict", "data"), columns=["term"]
-    ).column("term").to_pylist()
-    if not terms:
-        return [("", None)]
-    n_shards = max(1, min(n_shards, len(terms)))
-    step = (len(terms) + n_shards - 1) // n_shards
-    bounds = []
-    for s in range(0, len(terms), step):
-        lo = terms[s] if s else ""
-        hi = terms[s + step] if s + step < len(terms) else None
-        bounds.append((lo, hi))
-    return bounds
-
-
-_PARTIAL_SCHEMA = {
-    "qid": pa.int32(),
-    "kind": pa.string(),
-    "k": pa.int32(),
-    "npat": pa.int32(),
-    "pidx": pa.int32(),
-    "term": pa.string(),
-    "doc_ids": pa.large_list(pa.uint64()),
-    "scores": pa.large_list(pa.float64()),
-}
+def doc_shard_boundaries(index_path: str, n_shards: int) -> list[tuple[int, int]]:
+    """Cut the docID space into n contiguous [lo, hi) ranges on bucket
+    boundaries (docIDs are bucket << bucket_shift | rank, so bucket
+    ranges are docID ranges; md5-bucket assignment makes them
+    count-uniform)."""
+    with open(os.path.join(index_path, "meta.json")) as f:
+        meta = json.load(f)
+    nb = int(meta.get("num_buckets", 64))
+    shift = int(meta.get("bucket_shift", 36))
+    n_shards = max(1, min(n_shards, nb))
+    step = (nb + n_shards - 1) // n_shards
+    out = []
+    for b in range(0, nb, step):
+        hi_b = min(b + step, nb)
+        out.append((b << shift, hi_b << shift))
+    return out
 
 
 # Worker-process cache of shard readers (the stages/extract module-global
-# pattern): a doc/term-range reader costs ~1 s of open+slice-preload at
+# pattern): a doc-range reader costs ~1 s of open+slice-preload at
 # 1.5 M docs, paid per eval_shard task without this. Keyed by BOTH the
 # tombstone file's (mtime_ns, size) — a delete_docs() on the same index
 # path invalidates stale masks — and meta.json's (mtime_ns, size), which
@@ -138,8 +71,6 @@ _READER_CACHE_CAP = 8
 
 
 def _file_key(path: str):
-    import os
-
     try:
         st = os.stat(path)
         return (st.st_mtime_ns, st.st_size)
@@ -147,19 +78,17 @@ def _file_key(path: str):
         return None
 
 
-def _cached_reader(index_path: str, *, term_range=None, doc_range=None):
-    import os
-
+def _cached_reader(index_path: str, doc_range: tuple[int, int]):
     from textindex_ray.index.delete import TOMBSTONE_FILE
 
     tomb_key = _file_key(os.path.join(index_path, TOMBSTONE_FILE))
     meta_key = _file_key(os.path.join(index_path, "meta.json"))
-    key = (index_path, term_range, doc_range, tomb_key, meta_key)
+    key = (index_path, doc_range, tomb_key, meta_key)
     r = _READER_CACHE.get(key)
     if r is None:
         from textindex_ray.query.engine import IndexReader
 
-        r = IndexReader(index_path, term_range=term_range, doc_range=doc_range)
+        r = IndexReader(index_path, doc_range=doc_range)
         _READER_CACHE[key] = r
         while len(_READER_CACHE) > _READER_CACHE_CAP:
             _READER_CACHE.pop(next(iter(_READER_CACHE)))
@@ -181,368 +110,24 @@ def _np_list_array(chunks: list, np_dtype, pa_type) -> pa.LargeListArray:
     )
 
 
-def _list_col_slices(col) -> tuple[np.ndarray, np.ndarray]:
-    """(offsets, values) numpy views of a list column — row i is
-    values[offsets[i]:offsets[i+1]]."""
+def _list_values(col) -> np.ndarray:
+    """Concatenated values of a list column (all rows' lists, in row
+    order) as one numpy array."""
     arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    offs = np.asarray(arr.offsets)
-    vals = arr.values.to_numpy(zero_copy_only=False)
-    return offs, vals
+    return arr.flatten().to_numpy(zero_copy_only=False)
 
 
-def _empty_partials() -> pa.Table:
-    return pa.table({n: pa.array([], t) for n, t in _PARTIAL_SCHEMA.items()})
-
-
-def evaluate_queries_sharded(
-    index_path: str, queries: "ray.data.Dataset", *, n_shards: int = 4,
-    segment_size: int = 65536,
-) -> "ray.data.Dataset":
-    """Term-range-sharded evaluation, rank- and score-identical to
-    evaluate_queries.
-
-    Plan: (query x shard) rows -> groupby(shard) (each task opens an
-    IndexReader restricted to its term range: dictionary slice + chunk
-    rows via parquet predicate pushdown) -> per-term / per-pattern
-    partial rows -> groupby(qid) reduce. The reduce re-accumulates BM25
-    in global sorted-term order with the same float64 kernel, so exact
-    score identity holds. The docmap (dl side) is the small table and is
-    loaded per shard task; file_glob queries run on shard 0 only.
-
-    A SEGMENTED index dispatches to :func:`evaluate_queries_segmented`
-    (exact same result algebra, gid ids) — term-range sharding over a
-    segment list would need per-segment dictionary cuts; doc-sharding
-    is the serving partition there (module docstring).
-    """
-    from textindex_ray.index.segments import is_segmented
-
-    if is_segmented(index_path):
-        return evaluate_queries_segmented(index_path, queries, n_shards=n_shards)
-    bounds = shard_boundaries(index_path, n_shards)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        import numpy as _np
-
-        n = batch.num_rows
-        idx = _np.repeat(_np.arange(n), len(bounds))
-        shard = _np.tile(_np.arange(len(bounds), dtype=_np.int32), n)
-        out = batch.take(pa.array(idx))
-        return out.append_column("shard", pa.array(shard, pa.int32()))
-
-    expanded = queries.map_batches(explode, batch_format="pyarrow")
-
-    def eval_shard(g: pa.Table) -> pa.Table:
-        shard = int(g.column("shard")[0].as_py())
-        reader = _cached_reader(index_path, term_range=bounds[shard])
-        rows = {n: [] for n in _PARTIAL_SCHEMA if n not in ("doc_ids", "scores")}
-        id_chunks: list = []
-        sc_chunks: list = []
-        _E_IDS = np.empty(0, np.uint64)
-        _E_SC = np.empty(0, np.float64)
-
-        def emit(qid, kind, k, npat, pidx, term, ids, scores):
-            rows["qid"].append(qid)
-            rows["kind"].append(kind)
-            rows["k"].append(k)
-            rows["npat"].append(npat)
-            rows["pidx"].append(pidx)
-            rows["term"].append(term)
-            id_chunks.append(np.asarray(ids, np.uint64))
-            sc_chunks.append(np.asarray(scores, np.float64))
-
-        # bound each partial row's payload: a huge-df term's postings
-        # split into SEG-sized rows instead of one giant list cell (the
-        # reduce re-orders by (term, first doc), and each doc appears
-        # exactly once per term, so chunking is float-identical)
-        SEG = segment_size
-        # per-batch term cache: serving batches repeat hot terms across
-        # queries; score each term ONCE per shard task
-        tcache: dict = {}
-
-        ks = g.column("k").to_pylist() if "k" in g.column_names else [10] * g.num_rows
-        for qid, kind, terms, k in zip(
-            g.column("qid").to_pylist(), g.column("kind").to_pylist(),
-            g.column("terms").to_pylist(), ks,
-        ):
-            if shard == 0:
-                # presence marker: a query whose every pattern/term is
-                # empty must still produce an (empty) output row
-                emit(qid, kind, k, len(terms), -2, "", _E_IDS, _E_SC)
-            if kind in ("term_and", "wildcard_and"):
-                for pidx, pat in enumerate(terms):
-                    if ("set", pat) not in tcache:
-                        tcache[("set", pat)] = reader.doc_set(pat)
-                    ids = tcache[("set", pat)]
-                    for s in range(0, ids.size, SEG):
-                        emit(qid, kind, k, len(terms), pidx, "",
-                             ids[s : s + SEG], _E_SC)
-            elif kind == "bm25_topk":
-                for t in sorted(set(terms)):
-                    if ("bm", t) not in tcache:
-                        tcache[("bm", t)] = reader._term_scores(t)
-                    ids, sc = tcache[("bm", t)]
-                    for s in range(0, ids.size, SEG):
-                        emit(qid, kind, k, 0, -1, t,
-                             ids[s : s + SEG], sc[s : s + SEG])
-            elif kind == "file_glob" and shard == 0:
-                urls = reader.find_files(terms[0] if terms else "*")
-                emit(qid, kind, k, 0, -1, "", _E_IDS,
-                     np.array([float(len(urls))]))
-        if not rows["qid"]:
-            return _empty_partials()
-        # vectorized list-column build: offsets over concatenated numpy
-        # values (the old per-element [int(i) for i in ids] conversion
-        # cost seconds per heavy term)
-        out = {n: pa.array(v, _PARTIAL_SCHEMA[n]) for n, v in rows.items()}
-        out["doc_ids"] = _np_list_array(id_chunks, np.uint64, pa.uint64())
-        out["scores"] = _np_list_array(sc_chunks, np.float64, pa.float64())
-        return pa.table({n: out[n] for n in _PARTIAL_SCHEMA})
-
-    partials = expanded.groupby("shard").map_groups(eval_shard, batch_format="pyarrow")
-
-    def reduce_q(g: pa.Table) -> pa.Table:
-        qid = int(g.column("qid")[0].as_py())
-        kind = g.column("kind")[0].as_py()
-        k = int(g.column("k")[0].as_py())
-        id_offs, id_vals = _list_col_slices(g.column("doc_ids"))
-        id_vals = id_vals.astype(np.uint64, copy=False)
-        if kind in ("term_and", "wildcard_and"):
-            npat = int(g.column("npat")[0].as_py())
-            pidxs = g.column("pidx").to_numpy()
-            result = None
-            for i in range(npat):
-                rows_i = np.flatnonzero(pidxs == i)
-                parts = [id_vals[id_offs[r]:id_offs[r + 1]] for r in rows_i]
-                s = (np.unique(np.concatenate(parts))
-                     if parts else np.empty(0, np.uint64))
-                result = s if result is None else np.intersect1d(
-                    result, s, assume_unique=True)
-            ids = result if result is not None else np.empty(0, np.uint64)
-            out_ids, out_sc = ids, np.zeros(ids.size, np.float64)
-        elif kind == "bm25_topk":
-            # replay the exact term-at-a-time accumulation: order rows by
-            # (term, first doc of the row) — shards own contiguous sorted
-            # term ranges and segments of one term are docID-ordered, so
-            # this reconstructs the global sorted-unique-term order
-            sc_offs, sc_vals = _list_col_slices(g.column("scores"))
-            terms_l = g.column("term").to_pylist()
-            first_doc = [
-                int(id_vals[id_offs[i]]) if id_offs[i + 1] > id_offs[i] else 0
-                for i in range(g.num_rows)
-            ]
-            order = sorted(range(g.num_rows),
-                           key=lambda i: (terms_l[i], first_doc[i]))
-            nonempty = [i for i in order if id_offs[i + 1] > id_offs[i]]
-            if nonempty:
-                uids = np.unique(np.concatenate(
-                    [id_vals[id_offs[i]:id_offs[i + 1]] for i in nonempty]
-                ))
-                totals = np.zeros(uids.size, np.float64)
-                for i in nonempty:
-                    ids_a = id_vals[id_offs[i]:id_offs[i + 1]]
-                    sc_a = sc_vals[sc_offs[i]:sc_offs[i + 1]]
-                    totals[np.searchsorted(uids, ids_a)] += sc_a
-                sel = np.lexsort((uids, -totals))[:k]
-                out_ids, out_sc = uids[sel], totals[sel]
-            else:
-                out_ids = np.empty(0, np.uint64)
-                out_sc = np.empty(0, np.float64)
-        else:  # file_glob: the real result row carries pidx == -1
-            sc_offs, sc_vals = _list_col_slices(g.column("scores"))
-            out_ids = np.empty(0, np.uint64)
-            out_sc = np.array([0.0])
-            for i, pidx in enumerate(g.column("pidx").to_pylist()):
-                if pidx == -1:
-                    out_sc = sc_vals[sc_offs[i]:sc_offs[i + 1]]
-                    break
-        return pa.table(
-            {
-                "qid": pa.array([qid], pa.int32()),
-                "doc_ids": _np_list_array(
-                    [np.asarray(out_ids, np.uint64)], np.uint64, pa.uint64()),
-                "scores": _np_list_array(
-                    [np.asarray(out_sc, np.float64)], np.float64, pa.float64()),
-            }
-        )
-
-    return partials.groupby("qid").map_groups(reduce_q, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# doc-range sharded evaluation (the SERVING partition)
-
-
-def doc_shard_boundaries(index_path: str, n_shards: int) -> list[tuple[int, int]]:
-    """Cut the docID space into n contiguous [lo, hi) ranges on bucket
-    boundaries (docIDs are bucket << bucket_shift | rank, so bucket
-    ranges are docID ranges; md5-bucket assignment makes them
-    count-uniform)."""
-    import json
-    import os
-
-    with open(os.path.join(index_path, "meta.json")) as f:
-        meta = json.load(f)
-    nb = int(meta.get("num_buckets", 64))
-    shift = int(meta.get("bucket_shift", 36))
-    n_shards = max(1, min(n_shards, nb))
-    step = (nb + n_shards - 1) // n_shards
-    out = []
-    for b in range(0, nb, step):
-        hi_b = min(b + step, nb)
-        out.append((b << shift, hi_b << shift))
-    return out
-
-
-def _restore_meta_stats(reader) -> None:
-    """Undo segmented-serving stat overrides on a cached reader (the
-    cache is shared with callers that expect segment-local stats)."""
-    reader.n_docs = int(reader.meta["n_docs"])
-    reader.avgdl = float(reader.meta["avgdl"])
-    reader._df_global = None
-
-
-def evaluate_queries_doc_sharded(
+def evaluate_queries(
     index_path: str, queries: "ray.data.Dataset", *, n_shards: int = 4,
 ) -> "ray.data.Dataset":
-    """Doc-range-sharded evaluation — the cluster SERVING partition,
-    rank- and score-identical to evaluate_queries.
+    """queries schema: qid:int32, kind:string, terms:list<string>[, k:int32]
+    (k missing or 0 means 10). Returns qid, doc_ids, scores — doc ids in
+    the SegmentedReader gid space (seg << seg_shift | doc_id), which is
+    the plain docID space for a plain index.
 
-    A SEGMENTED index (index/segments.py) dispatches to
-    :func:`evaluate_queries_segmented` — same algebra, shards spanning
-    (segment x doc_range), results in the SegmentedReader gid space.
-
-    Unlike the term-range shard (which must ship full per-term posting
-    scores so the reduce can replay the accumulation — O(postings)
-    exchange), a doc shard computes every one of its docs' COMPLETE
-    BM25 sums locally with GLOBAL dictionary stats (df/idf/avgdl are
-    corpus-wide regardless of the shard), so:
-
-    - bm25_topk: per-shard exact top-k -> merge = lexsort over
-      n_shards x k rows. Exact because per-doc scores are shard-local
-      and the global (score desc, doc_id asc) selection over the union
-      of complete per-shard top-ks equals the unsharded selection.
-    - term_and / wildcard_and: per-shard AND result; ranges are
-      disjoint, so the merge is a concatenation + sort.
-    - file_glob: url surface is not doc-sharded; shard 0 answers.
-
-    The exchange is O(n_shards x k) per query — this is the shape that
-    serves 10^12 docs; use evaluate_queries_sharded only when the
-    DICTIONARY itself outgrows one node.
-    """
-    from textindex_ray.index.segments import is_segmented
-
-    if is_segmented(index_path):
-        return evaluate_queries_segmented(index_path, queries, n_shards=n_shards)
-    bounds = doc_shard_boundaries(index_path, n_shards)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        idx = np.repeat(np.arange(n), len(bounds))
-        shard = np.tile(np.arange(len(bounds), dtype=np.int32), n)
-        out = batch.take(pa.array(idx))
-        return out.append_column("shard", pa.array(shard, pa.int32()))
-
-    expanded = queries.map_batches(explode, batch_format="pyarrow")
-
-    def eval_shard(g: pa.Table) -> pa.Table:
-        shard = int(g.column("shard")[0].as_py())
-        reader = _cached_reader(index_path, doc_range=bounds[shard])
-        rows = {"qid": [], "kind": [], "k": []}
-        id_chunks: list = []
-        sc_chunks: list = []
-        ks = g.column("k").to_pylist() if "k" in g.column_names else [10] * g.num_rows
-        for qid, kind, terms, k in zip(
-            g.column("qid").to_pylist(), g.column("kind").to_pylist(),
-            g.column("terms").to_pylist(), ks,
-        ):
-            if kind == "bm25_topk":
-                # adaptive scorer: WAND runs under doc_range (edge
-                # chunks masked like tombstones) and prunes when idf
-                # contrast exists; results identical either way
-                ids, sc = reader.bm25_topk_auto(list(terms), int(k) or 10)
-            elif kind in ("term_and", "wildcard_and"):
-                ids = reader.find(list(terms))
-                sc = np.zeros(ids.size, np.float64)
-            elif kind == "file_glob":
-                if shard != 0:
-                    continue
-                urls = reader.find_files(terms[0] if terms else "*")
-                ids = np.empty(0, np.uint64)
-                sc = np.array([float(len(urls))])
-            else:
-                ids = np.empty(0, np.uint64)
-                sc = np.empty(0, np.float64)
-            rows["qid"].append(qid)
-            rows["kind"].append(kind)
-            rows["k"].append(int(k) if k is not None else 10)
-            id_chunks.append(np.asarray(ids, np.uint64))
-            sc_chunks.append(np.asarray(sc, np.float64))
-        return pa.table(
-            {
-                "qid": pa.array(rows["qid"], pa.int32()),
-                "kind": pa.array(rows["kind"], pa.string()),
-                "k": pa.array(rows["k"], pa.int32()),
-                "doc_ids": _np_list_array(id_chunks, np.uint64, pa.uint64()),
-                "scores": _np_list_array(sc_chunks, np.float64, pa.float64()),
-            }
-        )
-
-    partials = expanded.groupby("shard").map_groups(
-        eval_shard, batch_format="pyarrow"
-    )
-
-    def merge_q(g: pa.Table) -> pa.Table:
-        qid = int(g.column("qid")[0].as_py())
-        kind = g.column("kind")[0].as_py()
-        k = int(g.column("k")[0].as_py())
-        id_offs, id_vals = _list_col_slices(g.column("doc_ids"))
-        sc_offs, sc_vals = _list_col_slices(g.column("scores"))
-        id_vals = id_vals.astype(np.uint64, copy=False)
-        if kind == "bm25_topk":
-            ids = id_vals
-            sc = sc_vals
-            sel = np.lexsort((ids, -sc))[:k]
-            out_ids, out_sc = ids[sel], sc[sel]
-        elif kind in ("term_and", "wildcard_and"):
-            out_ids = np.sort(id_vals)  # ranges disjoint: concat + sort
-            out_sc = np.zeros(out_ids.size, np.float64)
-        else:  # file_glob
-            out_ids = np.empty(0, np.uint64)
-            out_sc = sc_vals if sc_vals.size else np.array([0.0])
-        return pa.table(
-            {
-                "qid": pa.array([qid], pa.int32()),
-                "doc_ids": _np_list_array(
-                    [np.asarray(out_ids, np.uint64)], np.uint64, pa.uint64()),
-                "scores": _np_list_array(
-                    [np.asarray(out_sc, np.float64)], np.float64, pa.float64()),
-            }
-        )
-
-    return partials.groupby("qid").map_groups(merge_q, batch_format="pyarrow")
-
-
-# ---------------------------------------------------------------------------
-# segmented (segment x doc-range) sharded evaluation
-
-
-def evaluate_queries_segmented(
-    index_path: str, queries: "ray.data.Dataset", *, n_shards: int = 4,
-) -> "ray.data.Dataset":
-    """Doc-sharded evaluation over a SEGMENTED index — each shard is one
-    (segment, doc_range) slice; results are rank- and score-identical to
-    ``SegmentedReader`` (and therefore to the compacted index, modulo
-    gid-vs-remapped-docID tie order — see query/segmented.py).
-
-    Same exact algebra as :func:`evaluate_queries_doc_sharded`: a doc
-    lives in exactly one segment (update-path url disjointness), so a
-    shard computes complete per-doc BM25 sums with CORPUS-WIDE stats —
-    global N/avgdl from the segment metas, global per-term df summed
-    driver-side via dictionary filter pushdown (``segmented.term_dfs``,
-    O(query terms), never the full dictionary). doc ids in the output
-    are SegmentedReader gids (seg << seg_shift | doc_id). file_glob
-    queries run on each segment's first shard and SUM in the merge (the
-    url surface spans segments).
+    Plan: (query x shard) rows -> groupby(shard) (each task scores its
+    queries on one cached (segment, doc_range) reader) -> per-shard
+    partial rows -> groupby(qid) merge (module docstring).
     """
     from textindex_ray.index.segments import collection_stats, list_segments
     from textindex_ray.query.segmented import min_seg_shift, term_dfs
@@ -550,9 +135,6 @@ def evaluate_queries_segmented(
     seg_paths = list_segments(index_path)
     stats = collection_stats(index_path)
     n_docs_g, avgdl_g = int(stats["n_docs"]), float(stats["avgdl"])
-    import json
-    import os
-
     metas = []
     for p in seg_paths:
         with open(os.path.join(p, "meta.json")) as f:
@@ -590,44 +172,46 @@ def evaluate_queries_segmented(
     def eval_shard(g: pa.Table) -> pa.Table:
         shard = int(g.column("shard")[0].as_py())
         si, dr, first = shard_list[shard]
-        reader = _cached_reader(seg_paths[si], doc_range=dr)
+        reader = _cached_reader(seg_paths[si], dr)
+        # corpus-wide stats: every call installs them, so a cached
+        # reader never scores with another batch's values
+        reader.n_docs = n_docs_g
+        reader.avgdl = avgdl_g
+        reader._df_global = df_map
         rows = {"qid": [], "kind": [], "k": []}
         id_chunks: list = []
         sc_chunks: list = []
         seg_hi = np.uint64(si) << np.uint64(seg_shift)
-        try:
-            reader.n_docs = n_docs_g
-            reader.avgdl = avgdl_g
-            reader._df_global = df_map
-            ks = (g.column("k").to_pylist() if "k" in g.column_names
-                  else [10] * g.num_rows)
-            for qid, kind, terms, k in zip(
-                g.column("qid").to_pylist(), g.column("kind").to_pylist(),
-                g.column("terms").to_pylist(), ks,
-            ):
-                if kind == "bm25_topk":
-                    ids, sc = reader.bm25_topk_auto(list(terms), int(k) or 10)
-                    ids = ids | seg_hi
-                elif kind in ("term_and", "wildcard_and"):
-                    ids = reader.find(list(terms)) | seg_hi
-                    sc = np.zeros(ids.size, np.float64)
-                elif kind == "file_glob":
-                    if not first:
-                        continue
-                    urls = reader.find_files(terms[0] if terms else "*")
-                    ids = np.empty(0, np.uint64)
-                    sc = np.array([float(len(urls))])
-                else:
-                    ids = np.empty(0, np.uint64)
-                    sc = np.empty(0, np.float64)
-                rows["qid"].append(qid)
-                rows["kind"].append(kind)
-                rows["k"].append(int(k) if k is not None else 10)
-                id_chunks.append(np.asarray(ids, np.uint64))
-                sc_chunks.append(np.asarray(sc, np.float64))
-        finally:
-            # the reader cache is shared with non-segmented callers
-            _restore_meta_stats(reader)
+        ks = (g.column("k").to_pylist() if "k" in g.column_names
+              else [10] * g.num_rows)
+        for qid, kind, terms, k in zip(
+            g.column("qid").to_pylist(), g.column("kind").to_pylist(),
+            g.column("terms").to_pylist(), ks,
+        ):
+            k = int(k or 10)
+            if kind == "bm25_topk":
+                # adaptive scorer: WAND runs under doc_range (edge
+                # chunks masked like tombstones); results identical
+                # either way
+                ids, sc = reader.bm25_topk_auto(list(terms), k)
+                ids = ids | seg_hi
+            elif kind in ("term_and", "wildcard_and"):
+                ids = reader.find(list(terms)) | seg_hi
+                sc = np.zeros(ids.size, np.float64)
+            elif kind == "file_glob":
+                if not first:
+                    continue
+                urls = reader.find_files(terms[0] if terms else "*")
+                ids = np.empty(0, np.uint64)
+                sc = np.array([float(len(urls))])
+            else:
+                ids = np.empty(0, np.uint64)
+                sc = np.empty(0, np.float64)
+            rows["qid"].append(qid)
+            rows["kind"].append(kind)
+            rows["k"].append(k)
+            id_chunks.append(np.asarray(ids, np.uint64))
+            sc_chunks.append(np.asarray(sc, np.float64))
         return pa.table(
             {
                 "qid": pa.array(rows["qid"], pa.int32()),
@@ -646,18 +230,20 @@ def evaluate_queries_segmented(
         qid = int(g.column("qid")[0].as_py())
         kind = g.column("kind")[0].as_py()
         k = int(g.column("k")[0].as_py())
-        _, id_vals = _list_col_slices(g.column("doc_ids"))
-        _, sc_vals = _list_col_slices(g.column("scores"))
-        id_vals = id_vals.astype(np.uint64, copy=False)
+        id_vals = _list_values(g.column("doc_ids")).astype(np.uint64, copy=False)
+        sc_vals = _list_values(g.column("scores"))
         if kind == "bm25_topk":
             sel = np.lexsort((id_vals, -sc_vals))[:k]
             out_ids, out_sc = id_vals[sel], sc_vals[sel]
         elif kind in ("term_and", "wildcard_and"):
             out_ids = np.sort(id_vals)  # (segment, range) slices disjoint
             out_sc = np.zeros(out_ids.size, np.float64)
-        else:  # file_glob: one count row per segment — sum them
+        elif kind == "file_glob":  # one count row per segment — sum them
             out_ids = np.empty(0, np.uint64)
             out_sc = np.array([float(sc_vals.sum())])
+        else:
+            out_ids = np.empty(0, np.uint64)
+            out_sc = np.empty(0, np.float64)
         return pa.table(
             {
                 "qid": pa.array([qid], pa.int32()),

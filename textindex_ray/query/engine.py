@@ -58,28 +58,22 @@ _PRELOAD_LIMIT = 512 * 1024 * 1024  # in-memory chunk table below this size
 
 class IndexReader:
     def __init__(self, index_path: str, preload: bool | None = None,
-                 term_range: tuple[str, str] | None = None,
                  doc_range: tuple[int, int] | None = None):
         """preload=None (auto): hold the whole chunk table in memory when
         the index is small (fast repeated queries); large indexes use
         parquet predicate pushdown per term instead (row groups are
-        (term, doc)-sorted, so pruning applies). At cluster scale the
-        reader is sharded across serving actors:
+        (term, doc)-sorted, so pruning applies).
 
-        - term_range=(lo, hi): dictionary + chunk slice restricted to
-          lo <= term < hi (hi=None open-ended) — the dictionary-size
-          shard (query/batch_eval.py::evaluate_queries_sharded).
-        - doc_range=(lo, hi): postings restricted to lo <= doc_id < hi
-          — the SERVING shard (evaluate_queries_doc_sharded): every
-          doc's full score is computed inside one shard with global
-          stats, so per-shard top-k merge is exact and only k rows per
-          shard ever move. Chunk pruning uses the stored
-          (first_doc, last_doc) ranges; decoded ids are masked at the
-          edges. find_files/docmap stay global (url surface is not
-          doc-sharded).
+        doc_range=(lo, hi): postings restricted to lo <= doc_id < hi —
+        the SERVING shard (query/batch_eval.py::evaluate_queries,
+        query/serve.py): every doc's full score is computed inside one
+        shard with global stats, so per-shard top-k merge is exact and
+        only k rows per shard ever move. Chunk pruning uses the stored
+        (first_doc, last_doc) ranges; decoded ids are masked at the
+        edges. find_files/docmap stay global (url surface is not
+        doc-sharded).
         """
         self.path = index_path
-        self.term_range = term_range
         # global-stats override hook (query/segmented.py): a segment of a
         # segmented index is scored with CORPUS-WIDE df/N/avgdl — the
         # SegmentedReader sets n_docs/avgdl directly and installs a
@@ -96,19 +90,8 @@ class IndexReader:
         self.b = float(self.meta["b"])
         self.n_docs = int(self.meta["n_docs"])
         self.avgdl = float(self.meta["avgdl"])
-        dict_dir = os.path.join(index_path, "dict", "data")
         try:
-            if term_range is None:
-                dt = pq.read_table(dict_dir)
-            else:
-                # predicate pushdown: a term-range shard loads only its
-                # dictionary slice (the dict is term-sorted on disk, so
-                # row groups outside the range prune at the scan)
-                lo, hi = term_range
-                flt = pc.field("term") >= lo
-                if hi is not None:
-                    flt = flt & (pc.field("term") < hi)
-                dt = pads.dataset(dict_dir).to_table(filter=flt)
+            dt = pq.read_table(os.path.join(index_path, "dict", "data"))
         except (FileNotFoundError, pa.ArrowInvalid):
             dt = pa.table({"term": pa.array([], pa.string()),
                            "df": pa.array([], pa.uint64()),
@@ -141,11 +124,11 @@ class IndexReader:
         idx_data = os.path.join(index_path, "index", "data")
         self._chunks = pads.dataset(idx_data)
         if preload is None:
-            if term_range is not None or doc_range is not None:
-                # a term-range shard exists precisely so its slice fits
-                # in memory (the serving design: shards are sized by
-                # raising n_shards until they do) — preload the slice,
-                # not a pushdown-per-term scan of 1/n of the index
+            if doc_range is not None:
+                # a doc-range shard exists precisely so its slice fits in
+                # memory (the serving design: shards are sized by raising
+                # n_shards until they do) — preload the slice, not a
+                # pushdown-per-term scan of 1/n of the index
                 preload = True
             else:
                 size = sum(
@@ -157,16 +140,10 @@ class IndexReader:
         self._mem = None
         if preload:
             flt = None
-            if term_range is not None:
-                lo, hi = term_range
-                flt = pc.field("term") >= lo
-                if hi is not None:
-                    flt = flt & (pc.field("term") < hi)
             if self.doc_range is not None:
                 dlo, dhi = self.doc_range
                 # chunks are doc-disjoint per term: keep overlapping ones
-                dflt = (pc.field("last_doc") >= dlo) & (pc.field("first_doc") < dhi)
-                flt = dflt if flt is None else (flt & dflt)
+                flt = (pc.field("last_doc") >= dlo) & (pc.field("first_doc") < dhi)
             t = self._chunks.to_table(filter=flt)
             t = t.take(pc.sort_indices(t, [("term", "ascending"), ("first_doc", "ascending")]))
             self._mem = t

@@ -12,7 +12,7 @@ Exactness (tested against ``merge_indexes`` over the same segments):
   anti-joins urls against every committed segment), so a per-segment
   scorer that uses CORPUS-WIDE stats computes each doc's complete BM25
   sum — the same algebra that makes doc-sharded serving exact
-  (query/batch_eval.py::evaluate_queries_doc_sharded);
+  (query/batch_eval.py::evaluate_queries);
 - corpus-wide stats are integer sums over segment metas
   (segments.collection_stats), identical to what a full merge would
   write, so per-doc float64 scores are bit-equal to the compacted

@@ -1,7 +1,7 @@
 """Long-lived sharded BM25 serving — the online-query counterpart of
 query/batch_eval.py.
 
-The batch evaluators open shard readers per call (fine for offline
+The batch evaluator opens shard readers in its tasks (fine for offline
 batches, measured ~1 s/shard of open+preload at 1.5 M docs). A serving
 deployment holds the shards in PERSISTENT Ray actors instead: each
 actor preloads its doc-range slice once (dictionary + chunk table +
@@ -16,7 +16,7 @@ Exactness: identical results to ``IndexReader.bm25_topk`` /
 ``find`` on the unsharded index — every doc's complete score is
 computed inside one shard with global stats, the merge is a lexsort
 over n_shards x k rows, and AND-set shards are disjoint (see
-batch_eval.evaluate_queries_doc_sharded, same algebra; tested).
+batch_eval.evaluate_queries, same algebra; tested).
 
 SEGMENTED indexes (index/segments.py) serve without restart-on-update:
 shards span (segment x doc_range); each actor is constructed with the
