@@ -272,3 +272,34 @@ def test_util_shared_helpers(ray_session):
     # the 4-CPU test session must stay at the floor (aggregator-actor
     # CPU-budget trap)
     assert j == 4
+
+
+def test_keep_first_raises_on_url_hash_collision():
+    """Two distinct urls under one doc_id are a hash collision, not a
+    re-crawl: the dedup partition step raises, naming both urls; rows of
+    one url under one doc_id still collapse keep-one."""
+    import pytest
+
+    from textindex_ray.pipelines.ingest import _keep_first
+
+    def part(rows):
+        return pa.table({
+            "doc_id": pa.array([r[0] for r in rows], pa.int64()),
+            "url": pa.array([r[1] for r in rows], pa.string()),
+            "text": pa.array([r[2] for r in rows], pa.string()),
+            "lang": pa.array(["en"] * len(rows), pa.string()),
+            "source": pa.array(["h"] * len(rows), pa.string()),
+            "n_chars": pa.array([len(r[2]) for r in rows], pa.int64()),
+            "part": pa.array([0] * len(rows), pa.int32()),
+        })
+
+    ok = _keep_first(part([(7, "http://h/a", "zz"), (7, "http://h/a", "aa"),
+                           (9, "http://h/b", "b")]))
+    assert ok.column("url").to_pylist() == ["http://h/a", "http://h/b"]
+    assert ok.column("text").to_pylist() == ["aa", "b"]
+    assert "part" not in ok.column_names
+
+    with pytest.raises(ValueError, match="http://h/x.*http://h/y|http://h/y.*http://h/x"):
+        _keep_first(part([(3, "http://h/c", "c"), (5, "http://h/y", "a"),
+                          (5, "http://h/x", "b"), (5, "http://h/x", "c")]))
+    assert _keep_first(part([])).num_rows == 0

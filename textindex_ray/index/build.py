@@ -14,7 +14,8 @@ Ray-Data-first physical plan (SURVEY.md §3.1 / §7):
                           assign docIDs + write the docmap part atomically
                           -> explode (term, doc_id, tf, dl)
                           -> in-task sort (term, doc_id)
-                          -> encode chunks [delta+varint]
+                          -> codec.encode_chunks: every chunk of the
+                             bucket in one numpy pass [delta+varint]
                         -> write_parquet(out/index)
     Phase S  stats      docmap dl -> N/avgdl (driver-side below 256MB,
                         distributed aggregate above)
@@ -56,7 +57,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from textindex_ray.index.codec import delta_encode, encode_tfs
+from textindex_ray.index.codec import _empty_chunks, encode_chunks
 from textindex_ray.stages.extract import ExtractTokenize
 
 K1 = 1.2
@@ -184,7 +185,9 @@ def make_assign_and_explode(docmap_dir: str):
 
 def make_assign_and_build(docmap_dir: str, chunk_size: int):
     """Per-bucket group fn: assign docIDs, persist the docmap part, and
-    build the bucket's posting chunks in-task (no global postings sort).
+    build the bucket's posting chunks in-task (no global postings sort):
+    explode, sort by (term, doc_id), then ``codec.encode_chunks``, which
+    encodes every chunk of the bucket in one numpy pass.
 
     Buckets own disjoint docID ranges (doc_id = bucket << 36 | rank), so
     per-term chunk rows from different buckets cover disjoint, ordered
@@ -194,98 +197,15 @@ def make_assign_and_build(docmap_dir: str, chunk_size: int):
     term skew cannot concentrate in one task.
     """
     explode = make_assign_and_explode(docmap_dir)
-    encode = make_encode_chunks(chunk_size)
 
     def assign_and_build(group: pa.Table) -> pa.Table:
         postings = explode(group)
-        if postings.num_rows == 0:
-            return _empty_chunks()
         order = pc.sort_indices(
             postings, [("term", "ascending"), ("doc_id", "ascending")]
         )
-        return encode(postings.take(order))
+        return encode_chunks(postings.take(order), chunk_size)
 
     return assign_and_build
-
-
-def make_encode_chunks(chunk_size: int):
-    """Encode a (term, doc_id, tf, dl)-sorted batch into posting chunks.
-
-    A term whose postings span multiple sorted blocks yields multiple
-    chunk rows (doc ranges disjoint and ordered) — that is the index
-    format, so range-partition skew needs no special casing.
-
-    Chunks store (max_tf, min_dl): the block-max WAND bound
-    idf * max_tf*(k1+1)/(max_tf + k1*(1-b+b*min_dl/avgdl)) is computed at
-    query time (impact is increasing in tf and decreasing in dl, so the
-    pair gives a valid upper bound) — encoding therefore needs no corpus
-    stats and the whole build is a single fused pipeline.
-    """
-
-    def encode_chunks(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _empty_chunks()
-        enc = pc.dictionary_encode(batch.column("term").combine_chunks())
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        codes = enc.indices.to_numpy()
-        uniq = enc.dictionary.to_pylist()
-        doc_ids = batch.column("doc_id").to_numpy()
-        tfs = batch.column("tf").to_numpy().astype(np.uint64)
-        dls = batch.column("dl").to_numpy().astype(np.uint64)
-
-        bounds = np.flatnonzero(np.diff(codes)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(codes)]))
-
-        o_term, o_first, o_last, o_n, o_maxtf, o_mindl, o_cf, o_docs, o_tfb = (
-            [], [], [], [], [], [], [], [], [])
-        for s, e in zip(starts, ends):
-            term = uniq[codes[s]]
-            for cs in range(s, e, chunk_size):
-                ce = min(cs + chunk_size, e)
-                ids = doc_ids[cs:ce]
-                t = tfs[cs:ce]
-                o_term.append(term)
-                o_first.append(ids[0])
-                o_last.append(ids[-1])
-                o_n.append(ce - cs)
-                o_maxtf.append(int(t.max()))
-                o_mindl.append(int(dls[cs:ce].min()))
-                o_cf.append(int(t.sum()))
-                o_docs.append(delta_encode(ids))
-                o_tfb.append(encode_tfs(t))
-        return pa.table(
-            {
-                "term": pa.array(o_term, pa.string()),
-                "first_doc": pa.array(o_first, pa.uint64()),
-                "last_doc": pa.array(o_last, pa.uint64()),
-                "n": pa.array(o_n, pa.uint32()),
-                "max_tf": pa.array(o_maxtf, pa.uint32()),
-                "min_dl": pa.array(o_mindl, pa.uint32()),
-                "cf": pa.array(o_cf, pa.uint64()),
-                "docs": pa.array(o_docs, pa.large_binary()),
-                "tfs": pa.array(o_tfb, pa.large_binary()),
-            }
-        )
-
-    return encode_chunks
-
-
-def _empty_chunks() -> pa.Table:
-    return pa.table(
-        {
-            "term": pa.array([], pa.string()),
-            "first_doc": pa.array([], pa.uint64()),
-            "last_doc": pa.array([], pa.uint64()),
-            "n": pa.array([], pa.uint32()),
-            "max_tf": pa.array([], pa.uint32()),
-            "min_dl": pa.array([], pa.uint32()),
-            "cf": pa.array([], pa.uint64()),
-            "docs": pa.array([], pa.large_binary()),
-            "tfs": pa.array([], pa.large_binary()),
-        }
-    )
 
 
 def build_dict_distributed(

@@ -35,15 +35,13 @@ from textindex_ray.index.build import (
     BUCKET_SHIFT,
     _commit,
     _data,
-    _empty_chunks,
     _fresh,
     build_dict_distributed,
     build_index,
     K1,
     B,
-    make_encode_chunks,
 )
-from textindex_ray.index.codec import decode_tfs, delta_decode
+from textindex_ray.index.codec import decode_chunks, encode_chunks
 from textindex_ray.stages.extract import url_bucket
 
 
@@ -333,47 +331,16 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *, num_buckets: int = 64,
     # ---- postings: decode + remap per source, union, re-sort, re-encode ---
     def make_decode_remap(si: int):
         def fn(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc2
-
-            ids_l, tfs_l, lens = [], [], []
-            for docs_b, tfs_b in zip(
-                batch.column("docs").to_pylist(), batch.column("tfs").to_pylist()
-            ):
-                ids = delta_decode(docs_b)
-                ids_l.append(ids)
-                tfs_l.append(decode_tfs(tfs_b))
-                lens.append(ids.size)
-            empty = pa.table(
-                {"term": pa.array([], pa.string()),
-                 "doc_id": pa.array([], pa.uint64()),
-                 "tf": pa.array([], pa.uint32()),
-                 "dl": pa.array([], pa.uint32())}
-            )
-            lens = np.asarray(lens, np.int64)
-            if lens.sum() == 0:
-                return empty
-            ids_all = np.concatenate(ids_l).astype(np.uint64)
-            tf_all = np.concatenate(tfs_l)
+            ids_all, tf_all = decode_chunks(batch)
             new_all, dl_all, keep = _remap_lookup(
                 rmdir, run_token, si, ids_all, remap_cache_slices
             )
-            if not keep.any():
-                return empty
-            # surviving postings per chunk row -> repeat each term that
-            # many times (vectorized take on the Arrow column). reduceat
-            # needs nonempty segments: zero-length rows contribute no
-            # ids, so compute counts only over nonempty rows.
-            nz = lens > 0
-            offs = np.concatenate(([0], np.cumsum(lens[nz])))[:-1]
-            cnt_nz = np.add.reduceat(keep.astype(np.int64), offs)
-            cnt = np.zeros(lens.size, np.int64)
-            cnt[nz] = cnt_nz
-            row_idx = np.repeat(np.arange(lens.size), cnt)
+            # each surviving posting's chunk row -> its term
+            n_col = batch.column("n").to_numpy().astype(np.int64)
+            row_idx = np.repeat(np.arange(batch.num_rows), n_col)[keep]
             return pa.table(
                 {
-                    "term": pc2.take(
-                        batch.column("term").combine_chunks(), pa.array(row_idx)
-                    ),
+                    "term": batch.column("term").take(pa.array(row_idx, pa.int64())),
                     "doc_id": pa.array(new_all[keep], pa.uint64()),
                     "tf": pa.array(tf_all[keep].astype(np.uint32), pa.uint32()),
                     "dl": pa.array(dl_all[keep], pa.uint32()),
@@ -385,7 +352,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *, num_buckets: int = 64,
     parts = []
     for si, d in enumerate(index_dirs):
         src = ray.data.read_parquet(
-            _data(os.path.join(d, "index")), columns=["term", "docs", "tfs"]
+            _data(os.path.join(d, "index")), columns=["term", "n", "docs", "tfs"]
         )
         parts.append(src.map_batches(make_decode_remap(si), batch_format="pyarrow"))
     postings = parts[0]
@@ -393,7 +360,7 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *, num_buckets: int = 64,
         postings = postings.union(p)
 
     chunks = postings.sort(["term", "doc_id"]).map_batches(
-        make_encode_chunks(chunk_size), batch_format="pyarrow"
+        encode_chunks, fn_kwargs={"chunk_size": chunk_size}, batch_format="pyarrow"
     )
     chunks.write_parquet(_data(index_dir))
     _commit(index_dir, {"phase": "merge-index", "sources": index_dirs})

@@ -28,19 +28,42 @@ from textindex_ray.index.build import build_index
 from textindex_ray.query.engine import IndexReader
 
 
-def _code_tag() -> str:
+def _code_tag(root: str | None = None) -> str:
     """Cache-busting tag: git HEAD when available (stale /tmp caches from
-    an older engine version must never answer for the current one)."""
+    an older engine version must never answer for the current one),
+    plus a digest of the uncommitted changes under ``textindex_ray/``
+    (tracked diff and untracked files) when that tree is dirty, so
+    uncommitted engine code never reads indexes that other code built.
+    ``root`` is the checkout (default: the one this module lives in)."""
+    import hashlib
     import subprocess
 
-    try:
+    if root is None:
         root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+    def git(*args: str) -> bytes:
         return subprocess.run(
-            ["git", "-C", root, "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-        ).stdout.strip() or textindex_ray.__version__
+            ["git", "-C", root, *args], capture_output=True, timeout=10
+        ).stdout
+
+    try:
+        tag = git("rev-parse", "--short", "HEAD").decode().strip()
+        if not tag:
+            return textindex_ray.__version__
+        diff = git("diff", "HEAD", "--", "textindex_ray")
+        untracked = git("ls-files", "--others", "--exclude-standard", "-z",
+                        "--", "textindex_ray").split(b"\0")
+        if diff or any(untracked):
+            h = hashlib.sha256(diff)
+            for rel in filter(None, untracked):
+                h.update(rel)
+                with open(os.path.join(root, os.fsdecode(rel)), "rb") as f:
+                    h.update(f.read())
+            tag += "-" + h.hexdigest()[:12]
+        return tag
     except Exception:
         return textindex_ray.__version__
+
 
 NUM_BUCKETS = 8
 _CACHE: dict[str, IndexReader] = {}
@@ -224,38 +247,30 @@ def _candidates_ds(r: IndexReader, terms) -> "ray.data.Dataset":
     slice (row-group-pruned doc_id range read)."""
     uniq = sorted(set(terms))
     nterms = len(uniq)
-    code = {t: i for i, t in enumerate(uniq)}
+    uniq_arr = pa.array(uniq, pa.string())
     idx_data = os.path.join(r.path, "index", "data")
     dm_data = os.path.join(r.path, "docmap", "data")
     shift = int(r.meta.get("bucket_shift", 36))
     tomb = r._tomb  # tombstone mask (tiny; broadcast by closure)
 
     chunks = ray.data.read_parquet(
-        idx_data, columns=["term", "docs"],
+        idx_data, columns=["term", "n", "docs"],
         filter=pc.field("term").isin(uniq),
     )
 
     def decode(batch: pa.Table) -> pa.Table:
-        from textindex_ray.index.codec import delta_decode
+        from textindex_ray.index.codec import decode_chunks
 
-        ids_l, tc_l = [], []
-        for t, buf in zip(
-            batch.column("term").to_pylist(), batch.column("docs").to_pylist()
-        ):
-            ids = delta_decode(buf)
-            ids_l.append(ids)
-            tc_l.append(np.full(ids.size, code[t], np.int8))
-        if not ids_l:
-            return pa.table(
-                {"iid": pa.array([], pa.uint64()),
-                 "tcode": pa.array([], pa.int8()),
-                 "part": pa.array([], pa.int64())}
-            )
-        ids = np.concatenate(ids_l)
+        ids, _ = decode_chunks(batch)
+        row_code = pc.index_in(batch.column("term"), value_set=uniq_arr)
         return pa.table(
             {
                 "iid": pa.array(ids, pa.uint64()),
-                "tcode": pa.array(np.concatenate(tc_l), pa.int8()),
+                "tcode": pa.array(
+                    np.repeat(row_code.to_numpy().astype(np.int8),
+                              batch.column("n").to_numpy()),
+                    pa.int8(),
+                ),
                 "part": pa.array(
                     (ids >> np.uint64(shift)).astype(np.int64), pa.int64()
                 ),

@@ -47,6 +47,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from textindex_ray.functions.textstats import LANG_MARKERS, _tokens
 from textindex_ray.kernel.classify import (
@@ -128,6 +129,36 @@ def extract_documents_batch(batch: pa.Table) -> pa.Table:
     )
 
 
+def _keep_first(g: pa.Table) -> pa.Table:
+    """One partition of the url dedup: keep the first row of each doc_id
+    run after a full sort (deterministic, whatever the block layout).
+
+    doc_id is a 63-bit url hash, so two distinct urls can share one; a
+    run holding more than one url is a hash collision, not a re-crawl,
+    and raises ValueError naming both urls instead of silently dropping
+    a document."""
+    t = g.sort_by(
+        [("doc_id", "ascending"), ("text", "ascending"),
+         ("lang", "ascending"), ("source", "ascending"),
+         ("n_chars", "ascending")]
+    )
+    ids = t.column("doc_id").to_numpy()
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    urls = t.column("url").combine_chunks()
+    run_first = np.flatnonzero(first)[np.cumsum(first) - 1]
+    clash = np.flatnonzero(
+        pc.not_equal(urls, urls.take(pa.array(run_first))).to_numpy(zero_copy_only=False)
+    )
+    if clash.size:
+        i = int(clash[0])
+        raise ValueError(
+            "url hash collision: doc_id %d is shared by %r and %r"
+            % (ids[i], urls[int(run_first[i])].as_py(), urls[i].as_py())
+        )
+    return t.filter(pa.array(first)).drop_columns(["part"])
+
+
 def _dedup_url_rows(ds: "ray.data.Dataset", num_partitions: int):
     """Collapse duplicate captures of one url (same doc_id) keep-one:
     one coarse hash(doc_id) % P shuffle, per-partition sort + run-first
@@ -143,22 +174,10 @@ def _dedup_url_rows(ds: "ray.data.Dataset", num_partitions: int):
             pa.array((ids % np.uint64(P)).astype(np.int32), pa.int32()),
         )
 
-    def keep_first(g: pa.Table) -> pa.Table:
-        t = g.sort_by(
-            [("doc_id", "ascending"), ("text", "ascending"),
-             ("lang", "ascending"), ("source", "ascending"),
-             ("n_chars", "ascending")]
-        )
-        ids = t.column("doc_id").to_numpy()
-        first = np.concatenate(
-            ([True], ids[1:] != ids[:-1])
-        ) if len(ids) else np.array([], dtype=bool)
-        return t.filter(pa.array(first)).drop_columns(["part"])
-
     return (
         ds.map_batches(add_part, batch_format="pyarrow")
         .groupby("part")
-        .map_groups(keep_first, batch_format="pyarrow")
+        .map_groups(_keep_first, batch_format="pyarrow")
     )
 
 

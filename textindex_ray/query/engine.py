@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from textindex_ray.index.codec import delta_decode, decode_tfs
+from textindex_ray.index.codec import decode_chunks
 
 
 def wildcard_to_regex(pat: str) -> str:
@@ -285,7 +285,7 @@ class IndexReader:
         if rows.num_rows == 0:
             out = (np.empty(0, np.uint64), np.empty(0, np.uint64))
         else:
-            ids, tfs = _decode_chunk_rows(rows)
+            ids, tfs = decode_chunks(rows)
             rm = self._range_mask(ids)
             if rm is not None:
                 ids, tfs = ids[rm], tfs[rm]
@@ -307,7 +307,7 @@ class IndexReader:
         rows = self.chunk_rows(terms)
         if rows.num_rows == 0:
             return np.empty(0, np.uint64)
-        ids, _ = _decode_chunk_rows(rows)  # one vectorized varint pass
+        ids, _ = decode_chunks(rows.select(["n", "docs"]))  # tfs not needed
         rm = self._range_mask(ids)
         if rm is not None:
             ids = ids[rm]
@@ -649,9 +649,7 @@ class _ChunkCursor:
             idf * mtf * (k1 + 1.0)
             / (mtf + k1 * (1.0 - b + b * mdl / max(avgdl, 1e-9)))
         ) * (1.0 + 1e-12)
-        self.docs_bufs = rows.column("docs").to_pylist()
-        self.tfs_bufs = rows.column("tfs").to_pylist()
-        self.n_postings = rows.column("n").to_numpy()
+        self.rows = rows.select(["n", "docs", "tfs"])
         self.n_chunks = rows.num_rows
         self.ci = 0
         self._ids = None
@@ -689,13 +687,7 @@ class _ChunkCursor:
 
     def _ensure(self):
         if self._ids is None:
-            self._ids = delta_decode(self.docs_bufs[self.ci])
-            self._tfs = decode_tfs(self.tfs_bufs[self.ci])
-            if self._ids.size != self.n_postings[self.ci]:
-                raise ValueError(
-                    "corrupt chunk: decoded %d postings, stored n=%d"
-                    % (self._ids.size, self.n_postings[self.ci])
-                )
+            self._ids, self._tfs = decode_chunks(self.rows.slice(self.ci, 1))
             self._off = 0
             self.decoded += 1
 
@@ -729,23 +721,8 @@ class _ChunkCursor:
                 np.searchsorted(self.last[self.ci :], window_end, side="right")
             )
             if j > self.ci:
-                from textindex_ray.index.codec import varint_decode
-
-                n_arr = self.n_postings[self.ci : j].astype(np.int64)
-                want = int(n_arr.sum())
-                deltas = varint_decode(b"".join(self.docs_bufs[self.ci : j]))
-                bulk_tfs = varint_decode(b"".join(self.tfs_bufs[self.ci : j]))
-                if deltas.size != want or bulk_tfs.size != want:
-                    raise ValueError(
-                        "corrupt chunk(s): decoded %d/%d postings, stored n sum=%d"
-                        % (deltas.size, bulk_tfs.size, want)
-                    )
-                gcs = np.cumsum(deltas, dtype=np.uint64)
-                vstarts = np.concatenate(([0], np.cumsum(n_arr)[:-1]))
-                prev = np.zeros(len(n_arr), dtype=np.uint64)
-                nz = vstarts > 0
-                prev[nz] = gcs[vstarts[nz] - 1]
-                ids_parts.append(gcs - np.repeat(prev, n_arr))
+                bulk_ids, bulk_tfs = decode_chunks(self.rows.slice(self.ci, j - self.ci))
+                ids_parts.append(bulk_ids)
                 tfs_parts.append(bulk_tfs)
                 self.decoded += j - self.ci
                 self.ci = j - 1
@@ -783,45 +760,3 @@ class _ChunkCursor:
         self.consumed = False
         if self.ci >= self.n_chunks:
             self.done = True
-
-
-def _decode_chunk_rows(rows: pa.Table):
-    """Decode many chunk rows in ONE vectorized pass.
-
-    Each chunk is a complete varint stream (its first delta is the
-    absolute first docID), so the concatenation of all chunk buffers is
-    itself a valid varint stream: one vectorized ``varint_decode`` over
-    the whole thing yields every delta. Chunk boundaries in VALUE space
-    come from the stored per-chunk posting count ``n``; a global cumsum
-    minus each chunk's preceding cumsum value reconstructs all absolute
-    docIDs with no per-chunk Python loop (the first delta of each chunk
-    being absolute means the subtraction cancels the previous chunks'
-    contribution exactly).
-    """
-    from textindex_ray.index.codec import varint_decode
-
-    docs_bufs = [b.as_py() for b in rows.column("docs")]
-    tfs_bufs = [b.as_py() for b in rows.column("tfs")]
-    n_col = rows.column("n").to_numpy().astype(np.int64)
-    want = int(n_col.sum())
-
-    deltas = varint_decode(b"".join(docs_bufs))
-    if deltas.size != want:
-        raise ValueError(
-            "corrupt chunk(s): decoded %d postings, stored n sum=%d"
-            % (deltas.size, want)
-        )
-    gcs = np.cumsum(deltas, dtype=np.uint64)
-    vstarts = np.concatenate(([0], np.cumsum(n_col)[:-1]))
-    # cumsum value just before each chunk start (0 for the first chunk)
-    prev = np.zeros(len(n_col), dtype=np.uint64)
-    nz = vstarts > 0
-    prev[nz] = gcs[vstarts[nz] - 1]
-    ids = gcs - np.repeat(prev, n_col)
-
-    tfs = varint_decode(b"".join(tfs_bufs))
-    if tfs.size != want:
-        raise ValueError(
-            "corrupt chunk(s): decoded %d tfs, stored n sum=%d" % (tfs.size, want)
-        )
-    return ids, tfs
