@@ -120,23 +120,21 @@ def main() -> None:
     for f in os.listdir(corpus_dir):
         pq.read_table(os.path.join(corpus_dir, f))
 
-    # warm the Ray worker pool (untimed): actor creation forks + imports in
-    # fresh worker processes (~8-13 s for a 30-actor pool); at 10^12-doc
-    # scale this amortizes to nothing, so the bench measures steady state
+    # warm the Ray worker pool (untimed): the first tasks fork and import
+    # in fresh worker processes; at 10^12-doc scale this amortizes to
+    # nothing, so the bench measures steady state
     import ray.data
 
-    from textindex_ray.index.build import default_concurrency
-    from textindex_ray.stages.extract import ExtractTokenize
+    from textindex_ray.stages.extract import extract_tokenize
 
     first = sorted(os.listdir(corpus_dir))[0]
     ray.data.read_parquet(
         os.path.join(corpus_dir, first), columns=["url", "html"]
     ).map_batches(
-        ExtractTokenize,
-        fn_constructor_kwargs={"num_buckets": 64},
+        extract_tokenize,
+        fn_kwargs={"num_buckets": 64},
         batch_format="pyarrow",
         batch_size=128,
-        concurrency=default_concurrency(),
     ).count()
 
     # ---- headline: full index build (tokenize -> ids -> sort -> encode) ----
@@ -349,7 +347,7 @@ def scaling() -> None:
     """8 vs 32 CPUs on the same (larger, compute-dominated) corpus.
 
     The scaling corpus is bigger than the headline bench corpus so that
-    per-phase fixed costs (actor-pool spin-up, shuffle barriers — a few
+    per-phase fixed costs (worker spin-up, shuffle barriers — a few
     seconds regardless of data size) do not dominate the 32-CPU run;
     this mirrors a real cluster where each node holds a large data
     share. Build-only child runs, fresh ray.init each.

@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True)
     ap.add_argument("--shards", type=int, default=16)
     ap.add_argument("--actors", type=int, default=0,
-                    help="extract actor pool size (0 = stateless tasks)")
+                    help="cap on concurrent extract tasks; 0 = Ray decides")
     args = ap.parse_args(argv)
 
     params = {"format": args.format, "shards": args.shards}

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from textindex_ray.index.codec import (
     _empty_chunks,
+    cell_buffers,
     decode_chunks,
     delta_decode,
     delta_encode,
@@ -173,9 +174,9 @@ def test_encode_chunks_edge_cases():
 
 
 def test_decode_chunks_sliced_and_chunked():
-    """decode_chunks reads the value buffers directly: a sliced table
-    (non-zero array offset) and a multi-chunk column must decode exactly
-    like each chunk row on its own."""
+    """decode_chunks and cell_buffers read the value buffers directly: a
+    sliced table (non-zero array offset) and a multi-chunk column must
+    decode exactly like each chunk row on its own."""
     ids = np.array([1 << 36 | i * 129 for i in range(40)], np.uint64)
     batch = pa.table({"term": pa.array(["t"] * 40), "doc_id": pa.array(ids),
                       "tf": pa.array(np.arange(1, 41) * 1000, pa.uint32()),
@@ -193,6 +194,11 @@ def test_decode_chunks_sliced_and_chunked():
               rows.slice(1).select(["n", "docs", "tfs"])):
         got_ids, got_tfs = decode_chunks(t)
         assert (got_ids.tolist(), got_tfs.tolist()) == per_row(t)
+        # the per-cell byte offsets the WAND cursor slices single chunks by
+        for col in ("docs", "tfs"):
+            data, offs = cell_buffers(t.column(col))
+            assert [data[a:b].tobytes() for a, b in zip(offs[:-1], offs[1:])] \
+                == t.column(col).to_pylist()
     assert decode_chunks(rows.slice(2).select(["n", "docs"]))[1] is None
     chunked = pa.concat_tables([rows.slice(0, 4), rows.slice(4)])
     assert chunked.column("docs").num_chunks == 2

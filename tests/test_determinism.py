@@ -1,5 +1,5 @@
 """Execution-shape invariance: the index and all query results are
-identical regardless of batch size, actor count, or build path — the
+identical regardless of batch size, extract task cap, or build path — the
 in-test form of the north rule's rank-identity across cluster sizes
 (the 8-vs-32-CPU process-level evidence lives in bench.py --scaling and
 BASELINE.md)."""
@@ -24,9 +24,8 @@ def test_results_invariant_to_execution_shape(ray_session, tmp_path):
     corpus = str(tmp_path / "c")
     write_corpus(corpus, 300, rows_per_file=32)
 
-    # NB: the actor pool must leave CPUs for the read/write stages — a
-    # pool of size == num_cpus starves the input and the pipeline stalls
-    # (the library default is cpus-2 for exactly this reason)
+    # concurrency caps the concurrent extract tasks (the library default,
+    # None, lets Ray decide); the index must not depend on it
     configs = [
         dict(batch_size=32, concurrency=1),
         dict(batch_size=256, concurrency=2),

@@ -111,14 +111,14 @@ def test_extracted_byte_identity(ray_session, tmp_path):
 
     corpus_dir = str(tmp_path / "corpus")
     write_corpus(corpus_dir, 120, rows_per_file=40)
-    from textindex_ray.stages.extract import ExtractTokenize, classify_batch
+    from textindex_ray.stages.extract import classify_batch, extract_tokenize
 
     ds = (
         ray.data.read_parquet(corpus_dir, columns=["url", "html"])
         .map_batches(classify_batch, batch_format="pyarrow")
         .map_batches(
-            ExtractTokenize,
-            fn_constructor_kwargs={"num_buckets": 16, "keep_text": True},
+            extract_tokenize,
+            fn_kwargs={"num_buckets": 16, "keep_text": True},
             batch_format="pyarrow",
             batch_size=32,
             concurrency=2,

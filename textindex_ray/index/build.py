@@ -3,8 +3,9 @@
 Ray-Data-first physical plan (SURVEY.md §3.1 / §7):
 
     Phase T  tokenize   read_parquet(corpus, columns=url/html)
-                        -> map_batches(ExtractTokenize, actor pool; the
-                           classifier is fused into the actor)
+                        -> map_batches(extract_tokenize, stateless tasks;
+                           the classifier is fused into the task, its
+                           tables are per-process globals)
                         -> write_parquet(out/tokenized, partition_cols=bucket)
                            [checkpoint=True only]
     Phase P  postings   one task per bucket: staging dir bucket=K
@@ -58,7 +59,7 @@ import ray
 import ray.data
 
 from textindex_ray.index.codec import _empty_chunks, encode_chunks
-from textindex_ray.stages.extract import ExtractTokenize
+from textindex_ray.stages.extract import extract_tokenize
 
 K1 = 1.2
 B = 0.75
@@ -291,17 +292,6 @@ def _write_empty_index(out_dir: str, num_buckets: int, chunk_size: int) -> dict:
     return meta
 
 
-def default_concurrency() -> int:
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    # the streaming executor keeps read/write stages light; nearly every
-    # CPU can host an extract actor (measured: cpus-2 beats cpus*3/4 by
-    # ~1.45x at 32 CPUs)
-    return max(2, cpus - 2)
-
-
 def read_corpus(corpus_path, input_format: str = "parquet") -> "ray.data.Dataset":
     """Corpus path -> (url:string, html:binary) Dataset for any ingest
     format: "parquet" (column-pruned read), "files" (directory walk,
@@ -349,6 +339,11 @@ def build_index(
     Both routes run the same per-bucket build (make_assign_and_build),
     so they write the same chunk rows.
 
+    concurrency: optional cap on concurrent extract tasks (None: Ray
+    decides). Extraction holds no state, so it runs as tasks on Ray's
+    warm worker pool and cannot take every CPU away from the read and
+    write stages at any cluster size.
+
     input_format: "parquet" (the corpus table), "files" (a loose-file
     directory tree, the reference's walk source — read_binary_files with
     the O1 name filter applied at the read, sources/files.py), or
@@ -392,16 +387,13 @@ def build_index(
         elif pads.dataset(corpus_path).count_rows() == 0:
             return _write_empty_index(out_dir, num_buckets, chunk_size)
 
-    if concurrency is None:
-        concurrency = default_concurrency()
-
     def extract_pipeline():
         ds = read_corpus(corpus_path, input_format)
-        # classification is fused into the actor (ExtractTokenize
+        # classification is fused into the task (extract_tokenize
         # classifies when no doctype column is present)
         return ds.map_batches(
-            ExtractTokenize,
-            fn_constructor_kwargs={"num_buckets": num_buckets, "keep_text": keep_text},
+            extract_tokenize,
+            fn_kwargs={"num_buckets": num_buckets, "keep_text": keep_text},
             batch_format="pyarrow",
             batch_size=batch_size,
             concurrency=concurrency,

@@ -201,9 +201,30 @@ def _cell_bytes(col) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8)[o[0] : o[-1]]
 
 
+def cell_buffers(col) -> tuple[np.ndarray, np.ndarray]:
+    """``_cell_bytes(col)`` and the byte offset of each cell in it (len + 1
+    entries, starting at 0), so one cell is a slice of the bytes."""
+    offsets = np.zeros(len(col) + 1, np.int64)
+    np.cumsum(pc.binary_length(col).to_numpy(zero_copy_only=False), out=offsets[1:])
+    return _cell_bytes(col), offsets
+
+
 def decode_chunks(rows: pa.Table):
     """Decode chunk rows in ONE vectorized pass -> (doc_ids, tfs), each
     uint64 in row order; tfs is None when ``rows`` has no ``tfs`` column.
+    See ``decode_streams``."""
+    has_tfs = rows.schema.get_field_index("tfs") >= 0
+    return decode_streams(
+        _cell_bytes(rows.column("docs")),
+        _cell_bytes(rows.column("tfs")) if has_tfs else None,
+        rows.column("n").to_numpy(),
+    )
+
+
+def decode_streams(docs: np.ndarray, tfs, n_col: np.ndarray):
+    """Decode the back-to-back ``docs`` (and ``tfs``, unless None) bytes
+    of consecutive chunks holding ``n_col`` postings each -> (doc_ids,
+    tfs), uint64.
 
     Each chunk is a complete varint stream (its first delta is the
     absolute first docID), so the concatenation of all chunk buffers is
@@ -215,10 +236,10 @@ def decode_chunks(rows: pa.Table):
     cancels the previous chunks' contribution exactly). A decoded count
     that differs from the sum of ``n`` raises ValueError.
     """
-    n_col = rows.column("n").to_numpy().astype(np.int64)
+    n_col = n_col.astype(np.int64)
     want = int(n_col.sum())
 
-    deltas = _leb128_decode(_cell_bytes(rows.column("docs")))
+    deltas = _leb128_decode(docs)
     if deltas.size != want:
         raise ValueError(
             "corrupt chunk(s): decoded %d postings, stored n sum=%d"
@@ -231,9 +252,9 @@ def decode_chunks(rows: pa.Table):
         s = np.minimum(np.cumsum(n_col) - n_col, want - 1)
         ids -= np.repeat(ids[s] - deltas[s], n_col)
 
-    if rows.schema.get_field_index("tfs") < 0:
+    if tfs is None:
         return ids, None
-    tfs = _leb128_decode(_cell_bytes(rows.column("tfs")))
+    tfs = _leb128_decode(tfs)
     if tfs.size != want:
         raise ValueError(
             "corrupt chunk(s): decoded %d tfs, stored n sum=%d" % (tfs.size, want)

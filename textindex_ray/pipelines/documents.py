@@ -467,8 +467,8 @@ def doc_hybrid_rerank(sf_dir: str) -> pa.Table:
     All re-rank arithmetic is int64 (integer doc vectors x integer query
     vector), so the DuckDB oracle matches bit-for-bit. Scale shape: the
     candidate set is top-k1 — bounded small by construction — so the
-    embedding pass is a pruned distributed scan over only candidate rows
-    (closure-captured id set; at k1 rows a broadcast is free), and the
+    embedding pass reads only the candidate rows (a parquet ``isin``
+    filter on their ids, as ``_pruned_text_scan`` does), and the
     final rerank is a k1-row driver sort, not a corpus operation.
     """
     from textindex_ray.stages.embed import EmbedDocs
@@ -486,25 +486,26 @@ def doc_hybrid_rerank(sf_dir: str) -> pa.Table:
 
     enc = EmbedDocs(d=HYBRID_DIM, normalize=False)
     qv = enc._vec(" ".join(HYBRID_TERMS))
-    cand_sorted = np.sort(cand_ids)
 
     def cand_dots(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy()
-        keep = np.isin(ids, cand_sorted)
-        sub = batch.filter(pa.array(keep))
         # enc rides the closure: one instance per task, its token memo
         # reused across the task's batches
         dots = np.fromiter(
-            (int(enc._vec(t) @ qv) for t in sub.column("text").to_pylist()),
-            np.int64, sub.num_rows,
+            (int(enc._vec(t) @ qv) for t in batch.column("text").to_pylist()),
+            np.int64, batch.num_rows,
         )
         return pa.table(
-            {"doc_id": sub.column("doc_id").cast(pa.int64()),
+            {"doc_id": batch.column("doc_id").cast(pa.int64()),
              "dot": pa.array(dots, pa.int64())}
         )
 
     got = (
-        documents_ds(sf_dir)
+        ray.data.read_parquet(
+            os.path.join(sf_dir, "documents.parquet"),
+            columns=["doc_id", "text"],
+            # candidate-pruned scan: row-group pruning at the read
+            filter=pc.field("doc_id").isin(sorted(int(i) for i in cand_ids)),
+        )
         .map_batches(cand_dots, batch_format="pyarrow")
         .to_pandas()  # <= k1 rows by construction
     )

@@ -33,7 +33,7 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from textindex_ray.index.codec import decode_chunks
+from textindex_ray.index.codec import cell_buffers, decode_chunks, decode_streams
 
 
 def wildcard_to_regex(pat: str) -> str:
@@ -649,7 +649,11 @@ class _ChunkCursor:
             idf * mtf * (k1 + 1.0)
             / (mtf + k1 * (1.0 - b + b * mdl / max(avgdl, 1e-9)))
         ) * (1.0 + 1e-12)
-        self.rows = rows.select(["n", "docs", "tfs"])
+        # value buffers and per-chunk byte offsets, taken once: a chunk
+        # decode is then two byte-range slices and one LEB128 pass
+        self._n = rows.column("n").to_numpy()
+        self._docs, self._docs_off = cell_buffers(rows.column("docs"))
+        self._tfs_b, self._tfs_off = cell_buffers(rows.column("tfs"))
         self.n_chunks = rows.num_rows
         self.ci = 0
         self._ids = None
@@ -685,9 +689,17 @@ class _ChunkCursor:
         self._off = int(np.searchsorted(self._ids, window_end, side="right"))
         self.consumed = self._off >= self._ids.size
 
+    def _decode(self, i: int, j: int):
+        """(doc_ids, tfs) of chunks i..j-1."""
+        return decode_streams(
+            self._docs[self._docs_off[i] : self._docs_off[j]],
+            self._tfs_b[self._tfs_off[i] : self._tfs_off[j]],
+            self._n[i:j],
+        )
+
     def _ensure(self):
         if self._ids is None:
-            self._ids, self._tfs = decode_chunks(self.rows.slice(self.ci, 1))
+            self._ids, self._tfs = self._decode(self.ci, self.ci + 1)
             self._off = 0
             self.decoded += 1
 
@@ -721,7 +733,7 @@ class _ChunkCursor:
                 np.searchsorted(self.last[self.ci :], window_end, side="right")
             )
             if j > self.ci:
-                bulk_ids, bulk_tfs = decode_chunks(self.rows.slice(self.ci, j - self.ci))
+                bulk_ids, bulk_tfs = self._decode(self.ci, j)
                 ids_parts.append(bulk_ids)
                 tfs_parts.append(bulk_tfs)
                 self.decoded += j - self.ci

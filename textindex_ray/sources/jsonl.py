@@ -11,7 +11,7 @@ threads.rs:203-315 — JSONL is the scale-era equivalent of that source).
 native NDJSON reader (no Python-loop parsing), and a zero-copy adapter
 projects whatever document field the dump uses onto the engine's
 (url:string, html:binary) corpus schema — identical downstream to the
-Parquet path: the ExtractTokenize actor's 256-byte sniff classifies each
+Parquet path: ``extract_tokenize``'s 256-byte sniff classifies each
 payload as HTML or text, so both {"url", "html"} and {"url", "text"}
 dumps work unchanged.
 """

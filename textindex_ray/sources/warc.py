@@ -251,7 +251,7 @@ def parse_warc_bytes(raw: bytes) -> list[tuple[str, bytes]]:
 def read_warc_corpus(path: str) -> "ray.data.Dataset":
     """WARC file tree -> (url:string, html:binary) corpus Dataset —
     identical downstream to the Parquet/JSONL paths (the
-    ExtractTokenize sniff classifies each payload)."""
+    ``extract_tokenize`` sniff classifies each payload)."""
     paths = warc_paths(path)
     empty = pa.table(
         {"url": pa.array([], pa.string()), "html": pa.array([], pa.binary())}

@@ -2,15 +2,18 @@
 
 Pipeline position (SURVEY.md §3.1 Ray design):
 
-    read_parquet(corpus) -> map_batches(classify_batch)          # stateless
-                         -> map_batches(ExtractTokenize, ...)    # actor pool
+    read_parquet(corpus) -> map_batches(classify_batch)     # stateless task
+                         -> map_batches(extract_tokenize,   # stateless task
+                                        fn_kwargs={...})
 
-``ExtractTokenize`` is a callable class: the stopword set / entity
-tables / compiled regexes live in module globals loaded once per worker
-process, and the class form makes the stage an actor pool per the
-north-star requirement (stateful stages are actor pools). Batches are
-``pyarrow`` (zero-copy from the object store); per-document parsing is
-inherently sequential per row, parallelism is across rows/batches.
+Both stages are plain functions run as Ray tasks. The stopword set,
+entity tables and compiled regexes are module globals of the kernel, so
+each worker process loads them once and a task carries no state; task
+workers come from Ray's warm worker pool, where this import is already
+paid, while an actor pool would start (and tear down) its own workers on
+every build. Batches are ``pyarrow`` (zero-copy from the object store);
+per-document parsing is inherently sequential per row, parallelism is
+across rows/batches.
 """
 
 from __future__ import annotations
@@ -58,58 +61,68 @@ def url_bucket(urls, num_buckets: int) -> np.ndarray:
     return out % num_buckets
 
 
-class ExtractTokenize:
-    """Actor-pool stage: raw page -> per-doc term lists (O3-O11).
+def extract_tokenize(
+    batch: pa.Table, *, num_buckets: int, keep_text: bool = False
+) -> pa.Table:
+    """Raw pages -> per-doc term lists (O3-O11).
 
-    Input columns: url, html, doctype. Output: one row per non-ignored
-    document: (url, bucket, doctype, dl, n_words, terms:list<string>,
-    tfs:list<uint32>[, extracted_text]).
+    Input columns: url, html[, doctype]; without ``doctype`` the batch is
+    classified inline (the classifier fused into this stage). Output: one
+    row per non-ignored document: (url, bucket, doctype, dl, n_words,
+    terms:list<string>, tfs:list<uint32>[, extracted_text]).
 
     ``keep_text=True`` additionally emits the extracted text column (the
     byte-identity artifact) — used by conformance tests; off in the bulk
     build to keep staging compact.
     """
+    urls = batch.column("url").to_pylist()
+    raws = batch.column("html").to_pylist()
+    if "doctype" in batch.column_names:
+        doctypes = batch.column("doctype").to_pylist()
+    else:
+        doctypes = [classify_bytes(r) for r in raws]
+
+    out_url, out_doctype, out_dl, out_nw = [], [], [], []
+    out_terms, out_tfs, out_text = [], [], []
+    for url, raw, dt in zip(urls, raws, doctypes):
+        if dt == DOCTYPE_IGNORE:
+            continue
+        s = decode_lossy(raw)
+        text = extract_html_text(s) if dt == DOCTYPE_HTML else s
+        tf, dl, n_words = tokenize_counts(text)
+        terms = sorted(tf)  # deterministic order inside the list
+        out_url.append(url)
+        out_doctype.append(dt)
+        out_dl.append(dl)
+        out_nw.append(n_words)
+        out_terms.append(terms)
+        out_tfs.append([tf[t] for t in terms])
+        if keep_text:
+            out_text.append(text)
+
+    cols = {
+        "url": pa.array(out_url, pa.string()),
+        "bucket": pa.array(url_bucket(out_url, num_buckets), pa.int64()),
+        "doctype": pa.array(out_doctype, pa.string()),
+        "dl": pa.array(out_dl, pa.uint32()),
+        "n_words": pa.array(out_nw, pa.uint32()),
+        "terms": pa.array(out_terms, pa.list_(pa.string())),
+        "tfs": pa.array(out_tfs, pa.list_(pa.uint32())),
+    }
+    if keep_text:
+        cols["extracted_text"] = pa.array(out_text, pa.string())
+    return pa.table(cols)
+
+
+class ExtractTokenize:
+    """``extract_tokenize`` with its keyword arguments bound, for callers
+    that run the kernel in-process (the benchmark's kernel layer)."""
 
     def __init__(self, num_buckets: int = 4096, keep_text: bool = False):
         self.num_buckets = num_buckets
         self.keep_text = keep_text
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        raws = batch.column("html").to_pylist()
-        if "doctype" in batch.column_names:
-            doctypes = batch.column("doctype").to_pylist()
-        else:
-            # classify inline (fused stage — one pass over the batch)
-            doctypes = [classify_bytes(r) for r in raws]
-
-        out_url, out_doctype, out_dl, out_nw = [], [], [], []
-        out_terms, out_tfs, out_text = [], [], []
-        for url, raw, dt in zip(urls, raws, doctypes):
-            if dt == DOCTYPE_IGNORE:
-                continue
-            s = decode_lossy(raw)
-            text = extract_html_text(s) if dt == DOCTYPE_HTML else s
-            tf, dl, n_words = tokenize_counts(text)
-            terms = sorted(tf)  # deterministic order inside the list
-            out_url.append(url)
-            out_doctype.append(dt)
-            out_dl.append(dl)
-            out_nw.append(n_words)
-            out_terms.append(terms)
-            out_tfs.append([tf[t] for t in terms])
-            if self.keep_text:
-                out_text.append(text)
-
-        cols = {
-            "url": pa.array(out_url, pa.string()),
-            "bucket": pa.array(url_bucket(out_url, self.num_buckets), pa.int64()),
-            "doctype": pa.array(out_doctype, pa.string()),
-            "dl": pa.array(out_dl, pa.uint32()),
-            "n_words": pa.array(out_nw, pa.uint32()),
-            "terms": pa.array(out_terms, pa.list_(pa.string())),
-            "tfs": pa.array(out_tfs, pa.list_(pa.uint32())),
-        }
-        if self.keep_text:
-            cols["extracted_text"] = pa.array(out_text, pa.string())
-        return pa.table(cols)
+        return extract_tokenize(
+            batch, num_buckets=self.num_buckets, keep_text=self.keep_text
+        )
