@@ -139,8 +139,6 @@ def main() -> None:
 
     # ---- headline: full index build (tokenize -> ids -> sort -> encode) ----
     out_dir = "/tmp/ti_bench/idx-sf%s-%d-cpus%d" % (sf, n_docs, num_cpus)
-    conc_frac = os.environ.get("GRAFT_BENCH_CONC_FRAC")
-    conc = max(2, int(num_cpus * float(conc_frac))) if conc_frac else None
     build_secs = []
     meta = None
     for _ in range(reps):
@@ -151,7 +149,6 @@ def main() -> None:
             out_dir,
             num_buckets=64,
             batch_size=1024,
-            concurrency=conc,
             resume=False,
         )
         build_secs.append(round(time.perf_counter() - t0, 3))
@@ -218,7 +215,7 @@ def main() -> None:
     if not os.path.exists(os.path.join(skew_idx, "meta.json")):
         shutil.rmtree(skew_idx, ignore_errors=True)
         build_index(skew_corpus, skew_idx, num_buckets=64, batch_size=1024,
-                    concurrency=conc, resume=False)
+                    resume=False)
     sreader = IndexReader(skew_idx)
     skew_q = ["raregem", "common"]
     ids_b, sc_b = sreader.bm25_topk(skew_q, 10)
@@ -358,14 +355,11 @@ def scaling() -> None:
     runs = {}
     docs = int(os.environ.get("GRAFT_SCALING_DOCS", "1600000"))
     for ncpu in (lo, hi):
-        # equal actor fraction at both levels so the ratio measures real
-        # scaling (cpus-2 would give the low level a smaller tokenize share);
         # best-of-reps: this VM sees host steal noise that hits the short
         # high-CPU leg disproportionately
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    GRAFT_BENCH_DOCS=str(docs), GRAFT_BENCH_BUILD_ONLY="1",
-                   GRAFT_BENCH_REPS=os.environ.get("GRAFT_BENCH_REPS", "1"),
-                   GRAFT_BENCH_CONC_FRAC=os.environ.get("GRAFT_BENCH_CONC_FRAC", "0.75"))
+                   GRAFT_BENCH_REPS=os.environ.get("GRAFT_BENCH_REPS", "1"))
         best = None
         for _ in range(reps):
             out = subprocess.run(

@@ -1,8 +1,7 @@
 """Execution-shape invariance: the index and all query results are
-identical regardless of batch size, extract task cap, or build path — the
-in-test form of the north rule's rank-identity across cluster sizes
-(the 8-vs-32-CPU process-level evidence lives in bench.py --scaling and
-BASELINE.md)."""
+identical regardless of batch size or build path — the in-test form of
+the north rule's rank-identity across cluster sizes (the 8-vs-32-CPU
+process-level evidence lives in bench.py --scaling and BASELINE.md)."""
 
 import numpy as np
 
@@ -24,13 +23,11 @@ def test_results_invariant_to_execution_shape(ray_session, tmp_path):
     corpus = str(tmp_path / "c")
     write_corpus(corpus, 300, rows_per_file=32)
 
-    # concurrency caps the concurrent extract tasks (the library default,
-    # None, lets Ray decide); the index must not depend on it
     configs = [
-        dict(batch_size=32, concurrency=1),
-        dict(batch_size=256, concurrency=2),
+        dict(batch_size=32),
+        dict(batch_size=256),
         # the other postings route: extract fused into groupby(bucket)
-        dict(batch_size=64, concurrency=2, checkpoint=False),
+        dict(batch_size=64, checkpoint=False),
     ]
     readers = []
     for i, cfg in enumerate(configs):

@@ -627,7 +627,7 @@ def test_large_binary_docs_small_batches(ray_session, tmp_path):
     d.mkdir()
     pq.write_table(t, str(d / "p.parquet"))
     meta = build_index(
-        str(d), str(tmp_path / "i"), num_buckets=4, batch_size=4, concurrency=2
+        str(d), str(tmp_path / "i"), num_buckets=4, batch_size=4
     )
     assert meta["n_docs"] == 12
     assert meta["avgdl"] >= 150000

@@ -323,7 +323,6 @@ def build_index(
     num_buckets: int = 64,
     chunk_size: int = 1024,
     batch_size: int = 1024,
-    concurrency=None,
     keep_text: bool = False,
     checkpoint: bool = True,
     resume: bool = True,
@@ -339,9 +338,8 @@ def build_index(
     Both routes run the same per-bucket build (make_assign_and_build),
     so they write the same chunk rows.
 
-    concurrency: optional cap on concurrent extract tasks (None: Ray
-    decides). Extraction holds no state, so it runs as tasks on Ray's
-    warm worker pool and cannot take every CPU away from the read and
+    Extraction holds no state, so it runs as tasks on Ray's warm worker
+    pool, sized by Ray, and cannot take every CPU away from the read and
     write stages at any cluster size.
 
     input_format: "parquet" (the corpus table), "files" (a loose-file
@@ -396,7 +394,6 @@ def build_index(
             fn_kwargs={"num_buckets": num_buckets, "keep_text": keep_text},
             batch_format="pyarrow",
             batch_size=batch_size,
-            concurrency=concurrency,
         )
 
     # ---- Phase T: tokenize checkpoint (optional) --------------------------
