@@ -8,7 +8,8 @@ Usage (cluster):
 Idempotent and resumable: phase-level _COMMITTED markers are honored, so
 resubmitting an interrupted job continues from the last committed phase;
 --incremental anti-joins the corpus against the committed docmap and
-merges only new documents (merge.update_index).
+indexes only new documents (merge.update_index); --incremental and
+--compact keep the index's own bucket count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--corpus")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--num-buckets", type=int, default=64)
+    ap.add_argument("--num-buckets", type=int, default=None,
+                    help="build: default 64; --incremental / --compact: "
+                         "default and only allowed value is the index's own")
     ap.add_argument("--chunk-size", type=int, default=1024)
     ap.add_argument("--batch-size", type=int, default=256)
     ap.add_argument("--no-checkpoint", action="store_true")
@@ -69,18 +72,18 @@ def main(argv=None) -> int:
         ray.init(include_dashboard=False, ignore_reinit_error=True,
                  logging_level="ERROR")
 
+    # unset --num-buckets: each entry point's own default (the build's
+    # 64, or the existing index's bucket count)
+    buckets = {} if args.num_buckets is None else {"num_buckets": args.num_buckets}
     if args.compact:
         from textindex_ray.index.merge import compact_index
 
-        meta = compact_index(
-            args.out, num_buckets=args.num_buckets, chunk_size=args.chunk_size,
-        )
+        meta = compact_index(args.out, chunk_size=args.chunk_size, **buckets)
     elif args.incremental:
         from textindex_ray.index.merge import update_index
 
         meta = update_index(
-            args.corpus, args.out,
-            num_buckets=args.num_buckets, chunk_size=args.chunk_size,
+            args.corpus, args.out, chunk_size=args.chunk_size, **buckets,
             mode=args.mode, compact_ratio=args.compact_ratio,
             input_format=("files" if args.files
                           else "jsonl" if args.jsonl
@@ -90,8 +93,7 @@ def main(argv=None) -> int:
         from textindex_ray.index.build import build_index
 
         meta = build_index(
-            args.corpus, args.out,
-            num_buckets=args.num_buckets, chunk_size=args.chunk_size,
+            args.corpus, args.out, chunk_size=args.chunk_size, **buckets,
             batch_size=args.batch_size,
             checkpoint=not args.no_checkpoint, resume=not args.no_resume,
             input_format=("files" if args.files

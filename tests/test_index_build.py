@@ -269,19 +269,26 @@ def test_reader_open_memory_bounded(tmp_path):
 
 def test_distributed_dict_equals_driver_dict(ray_session, tmp_path, monkeypatch):
     """Phase D's scale path (partition-bucketed distributed aggregate,
-    forced via GRAFT_DICT_DRIVER_LIMIT=0) produces the same dictionary
-    as the driver-side Arrow group_by."""
+    forced by a DICT_DRIVER_LIMIT of 0) produces the same dictionary as
+    the driver-side Arrow group_by, in a build and in a compaction (both
+    run the same Phase D)."""
+    from textindex_ray.index import build as build_mod
+    from textindex_ray.index.merge import compact_index
+
     corpus = str(tmp_path / "c")
     write_corpus(corpus, 120, rows_per_file=60)
     build_index(corpus, str(tmp_path / "i1"), num_buckets=4)
-    monkeypatch.setenv("GRAFT_DICT_DRIVER_LIMIT", "0")
+    build_index(corpus, str(tmp_path / "i3"), num_buckets=4)
+    monkeypatch.setattr(build_mod, "DICT_DRIVER_LIMIT", 0)
     build_index(corpus, str(tmp_path / "i2"), num_buckets=4)
+    compact_index(str(tmp_path / "i3"))
     r1 = IndexReader(str(tmp_path / "i1"))
-    r2 = IndexReader(str(tmp_path / "i2"))
-    assert r1._dict.column("term").to_pylist() == r2._dict.column("term").to_pylist()
-    assert r1._dict.column("df").to_pylist() == r2._dict.column("df").to_pylist()
-    assert r1._dict.column("cf").to_pylist() == r2._dict.column("cf").to_pylist()
-    a, sa = r1.bm25_topk(["alpha", "beta"], 10)
-    b, sb = r2.bm25_topk(["alpha", "beta"], 10)
-    assert a.tolist() == b.tolist()
-    np.testing.assert_allclose(sa, sb, rtol=0, atol=0)
+    for other in ("i2", "i3"):
+        r2 = IndexReader(str(tmp_path / other))
+        assert r1._dict.column("term").to_pylist() == r2._dict.column("term").to_pylist()
+        assert r1._dict.column("df").to_pylist() == r2._dict.column("df").to_pylist()
+        assert r1._dict.column("cf").to_pylist() == r2._dict.column("cf").to_pylist()
+        a, sa = r1.bm25_topk(["alpha", "beta"], 10)
+        b, sb = r2.bm25_topk(["alpha", "beta"], 10)
+        assert a.tolist() == b.tolist()
+        np.testing.assert_allclose(sa, sb, rtol=0, atol=0)

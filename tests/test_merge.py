@@ -1,11 +1,19 @@
 """Segment merge with docID remap + incremental update (SURVEY.md §7 M4)."""
 
+import json
+import os
+import shutil
+
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import pytest
 
 from textindex_ray.corpus import generate_corpus, write_corpus
 from textindex_ray.index.build import build_index
-from textindex_ray.index.merge import merge_indexes, update_index
+from textindex_ray.index.merge import compact_index, merge_indexes, update_index
+from textindex_ray.index.segments import list_segments
 from textindex_ray.oracle import OracleIndex
 from textindex_ray.query.engine import IndexReader
 
@@ -71,13 +79,10 @@ def test_merge_duplicate_urls_first_wins(ray_session, tmp_path):
 
 def test_merge_large_bounded_driver_memory(ray_session, tmp_path):
     """Merging multi-10k-doc indexes holds NOTHING per-doc on the driver:
-    the remap relation lives in hive-partitioned parquet
-    (remap/data/src=K/), the group tasks return O(num_buckets) stats
-    rows, and no dense per-doc dl array is broadcast. Evidence: (a) the
-    absolute driver allocation peak is small, (b) doubling the source
-    sizes leaves the driver peak flat (O(buckets), not O(docs)), and
-    (c) the hive remap layout exists on disk."""
-    import os
+    each bucket task remaps its own docs, and the driver reads only
+    file footers. Evidence: (a) the absolute driver allocation peak is
+    small, (b) doubling the source sizes leaves the driver peak flat
+    (O(buckets), not O(docs))."""
     import tracemalloc
 
     peaks = {}
@@ -103,13 +108,6 @@ def test_merge_large_bounded_driver_memory(ray_session, tmp_path):
     # (the pre-round-4 remap_df alone grew by ~MBs here); allow slack
     # for Ray block-metadata jitter
     assert peaks["l"] < peaks["s"] + 6 * 1024 * 1024, peaks
-    # structural: hive remap parts exist for the winning source (a
-    # source whose every url loses first-source-wins writes no parts)
-    d = tmp_path / "iml" / "remap" / "data" / "src=0"
-    assert d.is_dir() and any(
-        f.endswith(".parquet") for f in os.listdir(d)
-    ), d
-    assert (tmp_path / "iml" / "remap" / "_COMMITTED").exists()
 
     # correctness of the larger merge ("l" pair)
     rm = IndexReader(str(tmp_path / "iml"))
@@ -239,3 +237,123 @@ def test_update_index_incremental(ray_session, tmp_path):
         b, sb = rr.bm25_topk(q, 10)
         assert a.tolist() == b.tolist()
         np.testing.assert_allclose(sa, sb, rtol=0, atol=0)
+
+
+def _write_parts(tmp_path, **tables):
+    for name, t in tables.items():
+        d = tmp_path / name
+        d.mkdir()
+        pq.write_table(t, str(d / "part.parquet"))
+    return {name: str(tmp_path / name) for name in tables}
+
+
+def _tables(index_dir):
+    """index (sorted by term, first_doc), dict and docmap (by doc_id)."""
+    out = {}
+    for sub, keys in (("index", ["term", "first_doc"]), ("dict", ["term"]),
+                      ("docmap", ["doc_id"])):
+        t = pq.read_table(os.path.join(index_dir, sub, "data"))
+        out[sub] = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys]))
+    return out
+
+
+def _assert_same_tables(got_dir, want_dir):
+    got, want = _tables(got_dir), _tables(want_dir)
+    for sub in want:
+        assert got[sub].num_rows > 0, sub
+        assert got[sub].equals(want[sub]), sub
+
+
+def test_compact_equals_fresh_build(ray_session, tmp_path, monkeypatch):
+    """Two appends of url-unique, tombstone-free deltas, then
+    compact_index: the index, dict and docmap tables equal a fresh build
+    of the union corpus. Compaction runs no Ray shuffle (no sort,
+    groupby, join or repartition) and writes no remap tables."""
+    import ray.data
+
+    full = generate_corpus(240)
+    c = _write_parts(tmp_path, c0=full.slice(0, 120), c1=full.slice(120, 60),
+                     c2=full.slice(180, 60), call=full)
+    idx, ref = str(tmp_path / "idx"), str(tmp_path / "ref")
+    # chunk_size 16: common terms get several chunks per bucket
+    build_index(c["c0"], idx, num_buckets=8, chunk_size=16)
+    update_index(c["c1"], idx, compact_ratio=10.0)
+    update_index(c["c2"], idx, compact_ratio=10.0)
+    assert len(list_segments(idx)) == 3
+
+    def shuffle(*a, **k):
+        raise AssertionError("compaction ran a Ray shuffle")
+
+    with monkeypatch.context() as m:
+        for op in ("sort", "groupby", "join", "repartition", "random_shuffle",
+                   "aggregate", "unique"):
+            m.setattr(ray.data.Dataset, op, shuffle)
+        compact_index(idx, chunk_size=16)
+    assert list_segments(idx) == [idx]
+    assert not os.path.exists(os.path.join(idx, "remap"))
+    build_index(c["call"], ref, num_buckets=8, chunk_size=16)
+    _assert_same_tables(idx, ref)
+
+
+def test_compact_source_with_cross_bucket_chunks(ray_session, tmp_path):
+    """A source whose chunk rows span buckets (its postings re-encoded
+    through one global (term, doc_id) sort, the layout of compactions
+    that sorted globally) compacts to the tables of the fresh build it
+    came from."""
+    from textindex_ray.index.codec import decode_chunks, encode_chunks
+
+    c = _write_parts(tmp_path, c=generate_corpus(160))
+    fresh, src = str(tmp_path / "fresh"), str(tmp_path / "src")
+    build_index(c["c"], fresh, num_buckets=8, chunk_size=16)
+    shutil.copytree(fresh, src)
+
+    rows = pq.read_table(os.path.join(fresh, "index", "data"))
+    ids, tfs = decode_chunks(rows)
+    dm = pq.read_table(os.path.join(fresh, "docmap", "data"), columns=["doc_id", "dl"])
+    dm = dm.sort_by("doc_id")
+    dl = dm.column("dl").to_numpy()[np.searchsorted(dm.column("doc_id").to_numpy(), ids)]
+    post = pa.table({
+        "term": rows.column("term").take(
+            pa.array(np.repeat(np.arange(rows.num_rows), rows.column("n").to_numpy()))),
+        "doc_id": pa.array(ids, pa.uint64()),
+        "tf": pa.array(tfs, pa.uint64()),
+        "dl": pa.array(dl, pa.uint32()),
+    })
+    post = post.take(pc.sort_indices(post, [("term", "ascending"), ("doc_id", "ascending")]))
+    chunks = encode_chunks(post, 16)
+    spans = (chunks.column("first_doc").to_numpy() >> 36) != (
+        chunks.column("last_doc").to_numpy() >> 36)
+    assert spans.any()  # the layout under test: chunks cut across buckets
+    data = os.path.join(src, "index", "data")
+    shutil.rmtree(data)
+    os.makedirs(data)
+    half = chunks.num_rows // 2
+    pq.write_table(chunks.slice(0, half), os.path.join(data, "a.parquet"), row_group_size=700)
+    pq.write_table(chunks.slice(half), os.path.join(data, "b.parquet"), row_group_size=700)
+
+    compact_index(src, chunk_size=16)
+    _assert_same_tables(src, fresh)
+
+
+def test_bucket_count_follows_the_index(ray_session, tmp_path):
+    """update_index / compact_index / merge_indexes take the bucket count
+    from the index's meta.json; an explicit different value raises."""
+    full = generate_corpus(120)
+    c = _write_parts(tmp_path, c1=full.slice(0, 80), c2=full.slice(80, 40))
+    idx, other = str(tmp_path / "idx"), str(tmp_path / "other")
+    build_index(c["c1"], idx, num_buckets=4)
+    assert update_index(c["c2"], idx, compact_ratio=10.0)["added_docs"] > 0
+    with open(os.path.join(list_segments(idx)[1], "meta.json")) as f:
+        assert json.load(f)["num_buckets"] == 4
+
+    with pytest.raises(ValueError, match="num_buckets=4"):
+        update_index(c["c2"], idx, num_buckets=8)
+    with pytest.raises(ValueError, match="num_buckets=4"):
+        compact_index(idx, num_buckets=8)
+    build_index(c["c2"], other, num_buckets=8)
+    with pytest.raises(ValueError, match="num_buckets=8"):
+        merge_indexes([idx, other], str(tmp_path / "m"))
+    assert len(list_segments(idx)) == 2  # the failed calls changed nothing
+
+    meta = compact_index(idx)  # the lock was released by every failure
+    assert meta["num_buckets"] == 4 and list_segments(idx) == [idx]

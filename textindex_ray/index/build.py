@@ -9,18 +9,25 @@ Ray-Data-first physical plan (SURVEY.md §3.1 / §7):
                         -> write_parquet(out/tokenized, partition_cols=bucket)
                            [checkpoint=True only]
     Phase P  postings   one task per bucket: staging dir bucket=K
-                        (checkpoint=True) or groupby(bucket).map_groups
-                        (checkpoint=False), both running
-                        make_assign_and_build:
-                          assign docIDs + write the docmap part atomically
+                        (checkpoint=True, per_bucket) or
+                        groupby(bucket).map_groups (checkpoint=False),
+                        both running make_assign_and_build:
+                          write_docmap_part: assign docIDs + write the
+                             docmap part atomically
                           -> explode (term, doc_id, tf, dl)
-                          -> in-task sort (term, doc_id)
-                          -> codec.encode_chunks: every chunk of the
+                          -> encode_bucket: in-task sort (term, doc_id),
+                             then codec.encode_chunks, every chunk of the
                              bucket in one numpy pass [delta+varint]
                         -> write_parquet(out/index)
-    Phase S  stats      docmap dl -> N/avgdl (driver-side below 256MB,
-                        distributed aggregate above)
-    Phase D  dict       read(index: term,n,cf) -> groupby(term).sum -> out/dict
+    Phase S  stats      corpus_stats: docmap dl -> N/avgdl (driver-side
+                        below 256MB, distributed aggregate above)
+    Phase D  dict       write_dict: (term, n, cf) chunk rows -> per-term
+                        sums -> out/dict (driver-side below
+                        DICT_DRIVER_LIMIT, distributed aggregate above)
+
+merge.merge_indexes (and so compaction) runs the same Phase P layout,
+writer, encoder, Phase S and Phase D over existing indexes instead of a
+corpus, so a compacted index equals a fresh build of its documents.
 
 Shuffle inventory: the only all-to-all is doc-granular and keyed on
 ``bucket`` — the hive-partitioned staging write (a map-side scatter) or,
@@ -113,13 +120,54 @@ def _check_params(d: str, params: dict) -> None:
             )
 
 
-def make_assign_and_explode(docmap_dir: str):
-    """Per-bucket group fn: assign deterministic docIDs, persist the
-    docmap part atomically, and explode (term, doc_id, tf, dl) postings."""
+def write_docmap_part(docmap_dir: str, bucket: int, docs: pa.Table) -> np.ndarray:
+    """Write one bucket's docmap part atomically and return its docIDs.
 
-    def assign_and_explode(group: pa.Table) -> pa.Table:
-        order = pc.sort_indices(group.column("url"))
-        group = group.take(order)
+    ``docs`` (url, dl, n_words, doctype) must be url-sorted and
+    url-unique. This writer holds the docID contract that build and
+    merge share: ``doc_id = bucket << BUCKET_SHIFT | rank of the url
+    within the bucket``."""
+    n = docs.num_rows
+    local = np.arange(n, dtype=np.uint64)
+    doc_ids = (np.uint64(bucket) << np.uint64(BUCKET_SHIFT)) + local
+    docmap = pa.table(
+        {
+            "url": docs.column("url"),
+            "doc_id": pa.array(doc_ids, pa.uint64()),
+            "segment_id": pa.array(np.full(n, bucket, dtype=np.uint32), pa.uint32()),
+            "local_doc_id": pa.array(local, pa.uint64()),
+            "dl": docs.column("dl"),
+            "n_words": docs.column("n_words"),
+            "doctype": docs.column("doctype"),
+        }
+    )
+    tmp = os.path.join(docmap_dir, "docmap-%05d.parquet.tmp" % bucket)
+    pq.write_table(docmap, tmp)
+    os.replace(tmp, os.path.join(docmap_dir, "docmap-%05d.parquet" % bucket))
+    return doc_ids
+
+
+def encode_bucket(postings: pa.Table, chunk_size: int) -> pa.Table:
+    """One bucket's (term, doc_id, tf, dl) postings -> its chunk rows:
+    an in-task sort by (term, doc_id), then ``codec.encode_chunks``,
+    which encodes every chunk of the bucket in one numpy pass.
+
+    Buckets own disjoint docID ranges, so per-term chunk rows from
+    different buckets cover disjoint, ordered doc ranges: exactly the
+    chunked index format, with no global postings sort."""
+    order = pc.sort_indices(postings, [("term", "ascending"), ("doc_id", "ascending")])
+    return encode_chunks(postings.take(order), chunk_size)
+
+
+def make_assign_and_build(docmap_dir: str, chunk_size: int):
+    """Per-bucket build fn over the bucket's extracted docs: assign
+    docIDs and write the docmap part (``write_docmap_part``), explode
+    (term, doc_id, tf, dl) postings, then ``encode_bucket``. Heavy terms
+    are spread evenly across buckets by construction (md5 bucketing),
+    so term skew cannot concentrate in one task."""
+
+    def assign_and_build(group: pa.Table) -> pa.Table:
+        group = group.take(pc.sort_indices(group.column("url")))
         # duplicate urls (re-crawls): keep one row per url, chosen by a
         # content digest so the winner is deterministic regardless of
         # block arrival order (reference have_file keeps first-seen in
@@ -141,72 +189,46 @@ def make_assign_and_explode(docmap_dir: str):
                     best[u] = (dig, i)
             keep = sorted(i for _, i in best.values())
             group = group.take(pa.array(keep, pa.int64()))
-        n = group.num_rows
-        if n == 0:
-            return pa.table(
-                {"term": pa.array([], pa.string()), "doc_id": pa.array([], pa.uint64()),
-                 "tf": pa.array([], pa.uint32()), "dl": pa.array([], pa.uint32())}
-            )
+        if group.num_rows == 0:
+            return _empty_chunks()
         bucket = int(group.column("bucket")[0].as_py())
-        doc_ids = (np.uint64(bucket) << np.uint64(BUCKET_SHIFT)) + np.arange(n, dtype=np.uint64)
-
-        docmap = pa.table(
-            {
-                "url": group.column("url"),
-                "doc_id": pa.array(doc_ids, pa.uint64()),
-                "segment_id": pa.array(np.full(n, bucket, dtype=np.uint32), pa.uint32()),
-                "local_doc_id": pa.array(np.arange(n, dtype=np.uint64), pa.uint64()),
-                "dl": group.column("dl"),
-                "n_words": group.column("n_words"),
-                "doctype": group.column("doctype"),
-            }
-        )
-        tmp = os.path.join(docmap_dir, "docmap-%05d.parquet.tmp" % bucket)
-        pq.write_table(docmap, tmp)
-        os.replace(tmp, os.path.join(docmap_dir, "docmap-%05d.parquet" % bucket))
+        doc_ids = write_docmap_part(docmap_dir, bucket, group)
 
         terms = group.column("terms")
-        tfs = group.column("tfs")
-        flat_terms = pc.list_flatten(terms)
-        flat_tfs = pc.list_flatten(tfs)
         lens = pc.list_value_length(terms).to_numpy().astype(np.int64)
-        rep_doc = np.repeat(doc_ids, lens)
-        rep_dl = np.repeat(group.column("dl").to_numpy().astype(np.uint32), lens)
-        return pa.table(
+        postings = pa.table(
             {
-                "term": flat_terms,
-                "doc_id": pa.array(rep_doc, pa.uint64()),
-                "tf": flat_tfs,
-                "dl": pa.array(rep_dl, pa.uint32()),
+                "term": pc.list_flatten(terms),
+                "doc_id": pa.array(np.repeat(doc_ids, lens), pa.uint64()),
+                "tf": pc.list_flatten(group.column("tfs")),
+                "dl": pa.array(
+                    np.repeat(group.column("dl").to_numpy().astype(np.uint32), lens),
+                    pa.uint32(),
+                ),
             }
         )
-
-    return assign_and_explode
-
-
-def make_assign_and_build(docmap_dir: str, chunk_size: int):
-    """Per-bucket group fn: assign docIDs, persist the docmap part, and
-    build the bucket's posting chunks in-task (no global postings sort):
-    explode, sort by (term, doc_id), then ``codec.encode_chunks``, which
-    encodes every chunk of the bucket in one numpy pass.
-
-    Buckets own disjoint docID ranges (doc_id = bucket << 36 | rank), so
-    per-term chunk rows from different buckets cover disjoint, ordered
-    doc ranges — exactly the chunked index format. The only all-to-all
-    in the build is therefore the doc-level groupby(bucket); heavy terms
-    are spread evenly across buckets by construction (md5 bucketing), so
-    term skew cannot concentrate in one task.
-    """
-    explode = make_assign_and_explode(docmap_dir)
-
-    def assign_and_build(group: pa.Table) -> pa.Table:
-        postings = explode(group)
-        order = pc.sort_indices(
-            postings, [("term", "ascending"), ("doc_id", "ascending")]
-        )
-        return encode_chunks(postings.take(order), chunk_size)
+        return encode_bucket(postings, chunk_size)
 
     return assign_and_build
+
+
+def per_bucket(items: list[dict], build_one) -> "ray.data.Dataset":
+    """Phase P's task layout, shared by build and merge: one Ray task
+    per item (one bucket each), with no Ray shuffle. ``build_one(item)``
+    returns the bucket's chunk rows."""
+
+    def run_bucket(batch: pa.Table) -> pa.Table:
+        outs = [build_one(item) for item in batch.to_pylist()]
+        return pa.concat_tables(outs) if outs else _empty_chunks()
+
+    return ray.data.from_items(items).map_batches(
+        run_bucket, batch_format="pyarrow", batch_size=1
+    )
+
+
+# Phase D runs on the driver below this many bytes of chunk rows, and as
+# a distributed aggregate above it
+DICT_DRIVER_LIMIT = 512 * 1024 * 1024
 
 
 def build_dict_distributed(
@@ -251,6 +273,57 @@ def build_dict_distributed(
     )
 
 
+def _parquet_files(data_dir: str) -> list[str]:
+    return [os.path.join(data_dir, f) for f in os.listdir(data_dir) if f.endswith(".parquet")]
+
+
+def corpus_stats(docmap_dir: str) -> tuple[int, int]:
+    """Phase S: (n_docs, total_dl) from the docmap's dl column —
+    driver-side below 256 MB of docmap, a distributed aggregate above."""
+    data = _data(docmap_dir)
+    if sum(os.path.getsize(f) for f in _parquet_files(data)) < 256 * 1024 * 1024:
+        dl_col = pq.read_table(data, columns=["dl"]).column("dl")
+        return len(dl_col), int(pc.sum(dl_col).as_py() or 0)
+    sds = ray.data.read_parquet(data, columns=["dl"])
+    n_docs = sds.count()
+    return n_docs, int(sds.sum("dl")) if n_docs else 0
+
+
+def write_dict(index_dir: str, dict_dir: str) -> None:
+    """Phase D: the (term, df, cf) dictionary of the chunk rows, sorted by
+    term — a driver-side Arrow group_by below ``DICT_DRIVER_LIMIT`` bytes
+    of chunk rows (the chunk metadata is tiny next to the corpus, so this
+    beats a Ray job's fixed costs), ``build_dict_distributed`` above."""
+    _fresh(dict_dir)
+    data = _data(index_dir)
+    if sum(os.path.getsize(f) for f in _parquet_files(data)) >= DICT_DRIVER_LIMIT:
+        build_dict_distributed(data, _data(dict_dir))
+        return
+    d = _empty_dict()
+    ct = pq.read_table(data, columns=["term", "n", "cf"])
+    if ct.num_rows:
+        g = ct.group_by("term").aggregate([("n", "sum"), ("cf", "sum")])
+        d = pa.table({"term": g.column("term"),
+                      "df": g.column("n_sum").cast(pa.uint64()),
+                      "cf": g.column("cf_sum").cast(pa.uint64())})
+        d = d.take(pc.sort_indices(d.column("term")))
+    pq.write_table(d, os.path.join(_data(dict_dir), "dict.parquet"))
+
+
+def write_meta(out_dir: str, meta: dict) -> dict:
+    """Write ``meta.json`` atomically (the index's commit point)."""
+    with open(os.path.join(out_dir, "meta.json.tmp"), "w") as f:
+        json.dump(meta, f, indent=2)
+    os.replace(os.path.join(out_dir, "meta.json.tmp"), os.path.join(out_dir, "meta.json"))
+    return meta
+
+
+def _empty_dict() -> pa.Table:
+    return pa.table({"term": pa.array([], pa.string()),
+                     "df": pa.array([], pa.uint64()),
+                     "cf": pa.array([], pa.uint64())})
+
+
 def _empty_docmap() -> pa.Table:
     return pa.table(
         {
@@ -270,26 +343,18 @@ def _write_empty_index(out_dir: str, num_buckets: int, chunk_size: int) -> dict:
     for sub, table in (
         ("docmap", _empty_docmap()),
         ("index", _empty_chunks()),
-        (
-            "dict",
-            pa.table({"term": pa.array([], pa.string()),
-                      "df": pa.array([], pa.uint64()),
-                      "cf": pa.array([], pa.uint64())}),
-        ),
+        ("dict", _empty_dict()),
     ):
         d = os.path.join(out_dir, sub)
         os.makedirs(_data(d), exist_ok=True)
         pq.write_table(table, os.path.join(_data(d), "empty.parquet"))
         _commit(d, {"phase": sub, "empty": True})
-    meta = {
+    return write_meta(out_dir, {
         "n_docs": 0, "total_dl": 0, "avgdl": 0.0, "k1": K1, "b": B,
         "num_buckets": num_buckets, "bucket_shift": BUCKET_SHIFT,
         "chunk_size": chunk_size, "timings": {}, "empty": True,
         "built_at": time.time(),
-    }
-    with open(os.path.join(out_dir, "meta.json"), "w") as f:
-        json.dump(meta, f, indent=2)
-    return meta
+    })
 
 
 def read_corpus(corpus_path, input_format: str = "parquet") -> "ray.data.Dataset":
@@ -428,31 +493,19 @@ def build_index(
             # the staging write already scattered docs by bucket: build each
             # bucket's mini-index from its own partition dir — zero Ray
             # shuffle in this phase (embarrassingly parallel over buckets)
-            bds = ray.data.from_items(
-                [{"bucket_dir": os.path.join(_data(tok_dir), d),
-                  "bucket": int(d.split("=")[1])} for d in bucket_dirs]
-            )
             build_one = make_assign_and_build(_data(docmap_dir), chunk_size)
 
-            def build_bucket(batch: pa.Table) -> pa.Table:
-                outs = []
-                for bdir, bucket in zip(
-                    batch.column("bucket_dir").to_pylist(),
-                    batch.column("bucket").to_pylist(),
-                ):
-                    g = pq.read_table(
-                        bdir,
-                        columns=["url", "doctype", "dl", "n_words", "terms", "tfs"],
-                    )
-                    g = g.append_column(
-                        "bucket", pa.array(np.full(g.num_rows, bucket, np.int64))
-                    )
-                    outs.append(build_one(g))
-                return pa.concat_tables(outs) if outs else _empty_chunks()
+            def build_bucket(item: dict) -> pa.Table:
+                g = pq.read_table(
+                    os.path.join(_data(tok_dir), item["bucket_dir"]),
+                    columns=["url", "doctype", "dl", "n_words", "terms", "tfs"],
+                )
+                bucket = int(item["bucket_dir"].split("=")[1])
+                return build_one(g.append_column(
+                    "bucket", pa.array(np.full(g.num_rows, bucket, np.int64))
+                ))
 
-            chunks = bds.map_batches(
-                build_bucket, batch_format="pyarrow", batch_size=1
-            )
+            chunks = per_bucket([{"bucket_dir": d} for d in bucket_dirs], build_bucket)
         else:
             # checkpoint=False (or a staging table without bucket dirs):
             # the docs go through the one doc-level shuffle,
@@ -471,62 +524,22 @@ def build_index(
         _commit(docmap_dir, {"phase": "docmap", "sec": timings["postings_sec"]}, params)
         _commit(index_dir, {"phase": "index", "sec": timings["postings_sec"]}, params)
 
-    # ---- Phase S: corpus stats (from the docmap; driver-side when small) --
+    # ---- Phase S: corpus stats (from the docmap) ---------------------------
     t0 = time.time()
-    dm_files = [
-        os.path.join(_data(docmap_dir), f)
-        for f in os.listdir(_data(docmap_dir))
-        if f.endswith(".parquet")
-    ]
-    dm_bytes = sum(os.path.getsize(f) for f in dm_files)
-    if dm_bytes < 256 * 1024 * 1024:
-        dl_col = pq.read_table(_data(docmap_dir), columns=["dl"]).column("dl")
-        n_docs = len(dl_col)
-        total_dl = int(pc.sum(dl_col).as_py() or 0)
-    else:  # scale path: distributed aggregate
-        sds = ray.data.read_parquet(_data(docmap_dir), columns=["dl"])
-        n_docs = sds.count()
-        total_dl = int(sds.sum("dl")) if n_docs else 0
-    avgdl = (total_dl / n_docs) if n_docs else 0.0
+    n_docs, total_dl = corpus_stats(docmap_dir)
     timings["stats_sec"] = time.time() - t0
 
     # ---- Phase D: dictionary ---------------------------------------------
     if not (resume and _committed(dict_dir)):
         t0 = time.time()
-        _fresh(dict_dir)
-        idx_files = [
-            os.path.join(_data(index_dir), f)
-            for f in os.listdir(_data(index_dir))
-            if f.endswith(".parquet")
-        ]
-        idx_bytes = sum(os.path.getsize(f) for f in idx_files)
-        driver_limit = int(
-            os.environ.get("GRAFT_DICT_DRIVER_LIMIT", 512 * 1024 * 1024)
-        )
-        if idx_bytes < driver_limit:
-            # the chunk metadata table is tiny relative to the corpus: a
-            # driver-side arrow group_by beats a Ray job's fixed costs
-            ct = pq.read_table(_data(index_dir), columns=["term", "n", "cf"])
-            if ct.num_rows:
-                g = ct.group_by("term").aggregate([("n", "sum"), ("cf", "sum")])
-                d = pa.table({"term": g.column("term"),
-                              "df": g.column("n_sum").cast(pa.uint64()),
-                              "cf": g.column("cf_sum").cast(pa.uint64())})
-                d = d.take(pc.sort_indices(d.column("term")))
-            else:
-                d = pa.table({"term": pa.array([], pa.string()),
-                              "df": pa.array([], pa.uint64()),
-                              "cf": pa.array([], pa.uint64())})
-            pq.write_table(d, os.path.join(_data(dict_dir), "dict.parquet"))
-        else:  # scale path: distributed, partition-bucketed aggregate
-            build_dict_distributed(_data(index_dir), _data(dict_dir))
+        write_dict(index_dir, dict_dir)
         timings["dict_sec"] = time.time() - t0
         _commit(dict_dir, {"phase": "dict", "sec": timings["dict_sec"]})
 
-    meta = {
+    return write_meta(out_dir, {
         "n_docs": int(n_docs),
         "total_dl": int(total_dl),
-        "avgdl": float(avgdl),
+        "avgdl": (total_dl / n_docs) if n_docs else 0.0,
         "k1": K1,
         "b": B,
         "num_buckets": num_buckets,
@@ -535,8 +548,4 @@ def build_index(
         "timings": timings,
         "corpus_path": str(corpus_path),
         "built_at": time.time(),
-    }
-    with open(os.path.join(out_dir, "meta.json.tmp"), "w") as f:
-        json.dump(meta, f, indent=2)
-    os.replace(os.path.join(out_dir, "meta.json.tmp"), os.path.join(out_dir, "meta.json"))
-    return meta
+    })

@@ -13,9 +13,10 @@ completes the semantics the command implies, Parquet-native:
   Corpus statistics (N, avgdl, df) intentionally keep their pre-delete
   values until compaction — the standard tombstone contract.
 - Compaction happens in ``merge_indexes`` (and therefore in
-  ``update_index``): tombstoned docs are dropped from the merged docmap
-  and their postings disappear via the remap membership miss; the merged
-  index carries no tombstones and fully re-baked stats. A deleted url
+  ``compact_index`` / ``update_index``): each bucket task drops the
+  tombstoned docs before assigning new docIDs, so their postings find no
+  new docID in the in-task join and disappear; the merged index carries
+  no tombstones and fully re-baked stats. A deleted url
   re-appearing in the corpus is re-indexed by ``update_index`` (the
   committed-url anti-join counts only live docs).
 """

@@ -1,31 +1,39 @@
-"""Index merge with docID remapping, and incremental index update.
+"""Index merge and compaction, and incremental index update.
 
-merge_indexes: sort-merge K independently built indexes into one global
-index. Each source's postings are decoded, docIDs are remapped through a
-per-source remap table (old internal id -> new internal id under the
-merged docmap), and the union is re-sorted/re-encoded — the north-star
-"segment-level posting lists are sort-merged into a global index with a
-docID remapping table".
+merge_indexes: merge K indexes built with the same bucket count into one
+index through the build's Phase P (index/build.py): one Ray task per
+target bucket, with no Ray shuffle. A url's bucket is md5(url) %
+num_buckets in every source, so every copy of a doc and every one of its
+postings lives in the same bucket everywhere; a bucket task reads only
+its bucket's docmap part of each source and the chunk row groups whose
+doc range overlaps the bucket, then writes the bucket's docmap part and
+chunk rows with the build's own writer and encoder. On sources with no
+duplicate urls and no tombstones, the merged index equals a fresh build
+of the union corpus, table for table.
 
 Duplicate urls across sources keep the FIRST source's document (the
 reference's incremental have_file semantics: already-indexed files are
 skipped, /root/reference/src/proc3/threads.rs:292-297); later sources'
-postings for dropped docs are filtered out during remap.
+postings for dropped docs find no new docID and fall away.
 
 update_index: incremental indexing — anti-join the corpus against the
 committed docmap urls, build a delta index of only the new documents,
-then merge. At testdata scale the committed-url set is broadcast
-(ray.put); at 10^12-doc scale the same anti-join runs with a Bloom
-filter per worker instead of an exact set (noted inline).
+then append it as a segment (and compact). At testdata scale the
+committed-url set is broadcast (ray.put); at 10^12-doc scale the same
+anti-join runs with a Bloom filter per worker instead of an exact set
+(noted inline).
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
+import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -36,357 +44,193 @@ from textindex_ray.index.build import (
     _commit,
     _data,
     _fresh,
-    build_dict_distributed,
+    _write_empty_index,
     build_index,
+    corpus_stats,
+    encode_bucket,
+    per_bucket,
+    write_dict,
+    write_docmap_part,
+    write_meta,
     K1,
     B,
 )
-from textindex_ray.index.codec import decode_chunks, encode_chunks
-from textindex_ray.stages.extract import url_bucket
+from textindex_ray.index.codec import _empty_chunks, decode_chunks
 
 
 def _read_docmap(index_dir: str) -> pa.Table:
     return pq.read_table(_data(os.path.join(index_dir, "docmap")))
 
 
-# Worker-process cache of loaded remap slices, keyed
-# (remap_data_dir, run_token, src, old_bucket) -> (old_sorted, new, dl)
-# numpy arrays. Module-global so Ray's long-lived worker processes reuse
-# slices across map_batches tasks (the stages/extract pattern) without
-# an actor pool; bounded by _remap_cache_cap entries (oldest-first
-# eviction), so worker memory is O(cap x docs_per_bucket), never
-# O(corpus) unless the cap allows it. run_token is the remap phase's
-# _COMMITTED mtime_ns: two merges into the SAME out_dir within one Ray
-# session (e.g. repeated incremental updates reusing <index>.work/merged)
-# write different remap tables to the same path — without the token,
-# warm workers would serve the previous run's slices and silently
-# corrupt the merged postings.
-_REMAP_SLICES: dict = {}
+def _index_buckets(index_dir: str, num_buckets: int | None) -> int:
+    """The bucket count in index_dir's meta.json. A given num_buckets
+    that differs, or a different bucket shift, raises ValueError:
+    re-bucketing an index is what ``build_index`` is for."""
+    with open(os.path.join(index_dir, "meta.json")) as f:
+        meta = json.load(f)
+    have = int(meta["num_buckets"])
+    shift = int(meta.get("bucket_shift", BUCKET_SHIFT))
+    if (num_buckets is not None and num_buckets != have) or shift != BUCKET_SHIFT:
+        raise ValueError(
+            "%s has num_buckets=%d, bucket_shift=%d; wanted num_buckets=%s, "
+            "bucket_shift=%d (rebuild it with build_index to change them)"
+            % (index_dir, have, shift, num_buckets, BUCKET_SHIFT)
+        )
+    return have
 
 
-def _remap_lookup(
-    remap_data: str, run_token: int, si: int, ids: np.ndarray, cache_cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized old->new docID remap for one source's posting ids.
+def _row_groups_by_bucket(index_dirs: list[str], num_buckets: int) -> dict:
+    """{bucket: [(src, file, [row group, ...]), ...]} over the chunk files
+    of every source, from each row group's first_doc / last_doc footer
+    statistics. A row group overlaps every bucket between its smallest
+    first_doc and its largest last_doc (chunks that a global sort cut
+    across buckets included); one without statistics overlaps all."""
+    out: dict = {}
+    for si, d in enumerate(index_dirs):
+        data = _data(os.path.join(d, "index"))
+        for f in sorted(os.listdir(data)):
+            if not f.endswith(".parquet"):
+                continue
+            path = os.path.join(data, f)
+            md = pq.ParquetFile(path).metadata
+            lo_col = md.schema.names.index("first_doc")
+            hi_col = md.schema.names.index("last_doc")
+            hits: dict = {}
+            for rg in range(md.num_row_groups):
+                meta = md.row_group(rg)
+                if meta.num_rows == 0:
+                    continue
+                lo = meta.column(lo_col).statistics
+                hi = meta.column(hi_col).statistics
+                if lo is not None and lo.has_min_max and hi is not None and hi.has_min_max:
+                    span = range(lo.min >> BUCKET_SHIFT, (hi.max >> BUCKET_SHIFT) + 1)
+                else:
+                    span = range(num_buckets)
+                for b in span:
+                    hits.setdefault(b, []).append(rg)
+            for b, rgs in hits.items():
+                out.setdefault(b, []).append((si, path, rgs))
+    return out
 
-    Returns (new_ids, dls, keep): keep[i] False means old id ids[i] has
-    no row in the merged docmap (a dropped duplicate / tombstoned doc).
-    Loads only the (src, old_bucket) remap slices the ids actually
-    touch — file-pruned via the hive src= layout + old_bucket filter —
-    and caches them per worker process.
-    """
-    b = (ids >> np.uint64(BUCKET_SHIFT)).astype(np.int64)
-    need = [int(x) for x in np.unique(b)] if ids.size else []
-    local: dict = {}
-    missing = []
-    for bu in need:
-        key = (remap_data, run_token, si, bu)
-        if key in _REMAP_SLICES:
-            local[bu] = _REMAP_SLICES[key]
-        else:
-            missing.append(bu)
-    if missing:
-        src_dir = os.path.join(remap_data, "src=%d" % si)
-        if os.path.isdir(src_dir):
-            t = pq.read_table(
-                src_dir,
-                columns=["old_id", "new_id", "dl", "old_bucket"],
-                filters=[("old_bucket", "in", missing)],
-            )
-        else:  # source contributed no surviving docs at all
-            t = pa.table(
-                {"old_id": pa.array([], pa.uint64()),
-                 "new_id": pa.array([], pa.uint64()),
-                 "dl": pa.array([], pa.uint32()),
-                 "old_bucket": pa.array([], pa.int64())}
-            )
-        ob = t.column("old_bucket").to_numpy()
-        old_a = t.column("old_id").to_numpy()
-        new_a = t.column("new_id").to_numpy()
-        dl_a = t.column("dl").to_numpy()
-        for bu in missing:
-            m = ob == bu
-            old = old_a[m].astype(np.uint64)
-            order = np.argsort(old)
-            sl = (
-                old[order],
-                new_a[m][order].astype(np.uint64),
-                dl_a[m][order].astype(np.uint32),
-            )
-            local[bu] = sl
-            _REMAP_SLICES[(remap_data, run_token, si, bu)] = sl
-        while len(_REMAP_SLICES) > cache_cap:
-            _REMAP_SLICES.pop(next(iter(_REMAP_SLICES)))
-    new = np.zeros(ids.size, np.uint64)
-    dl = np.zeros(ids.size, np.uint32)
-    keep = np.zeros(ids.size, bool)
-    for bu in need:
-        old_s, new_s, dl_s = local[bu]
-        if old_s.size == 0:
+
+def _merge_bucket(bucket: int, index_dirs: list[str], tombs: list,
+                  row_groups: list, docmap_data: str, chunk_size: int) -> pa.Table:
+    """One target bucket of a merge -> its chunk rows (and its docmap
+    part, written as a side effect)."""
+    # ---- docs: live docs of every source, first source's copy per url
+    docs = []
+    for si, d in enumerate(index_dirs):
+        part = os.path.join(_data(os.path.join(d, "docmap")), "docmap-%05d.parquet" % bucket)
+        if not os.path.exists(part):
             continue
-        m = b == bu
-        sub = ids[m]
-        pos = np.minimum(np.searchsorted(old_s, sub), old_s.size - 1)
-        k = old_s[pos] == sub
-        idx = np.flatnonzero(m)[k]
-        new[idx] = new_s[pos[k]]
-        dl[idx] = dl_s[pos[k]]
-        keep[idx] = True
-    return new, dl, keep
+        dm = pq.read_table(part, columns=["url", "doc_id", "dl", "n_words", "doctype"])
+        live = ~np.isin(dm.column("doc_id").to_numpy(), tombs[si])
+        docs.append(dm.filter(pa.array(live)).append_column(
+            "src", pa.array(np.full(int(live.sum()), si, np.int32))))
+    g = pa.concat_tables(docs)
+    g = g.take(pc.sort_indices(g, [("url", "ascending"), ("src", "ascending")]))
+    if g.num_rows > 1:
+        u = g.column("url").combine_chunks()
+        dup = pc.equal(u.slice(1), u.slice(0, len(u) - 1)).to_numpy(zero_copy_only=False)
+        g = g.filter(pa.array(np.concatenate(([True], ~dup))))
+    if g.num_rows == 0:
+        return _empty_chunks()
+    new_ids = write_docmap_part(docmap_data, bucket, g)
+    remap = pa.table({"src": g.column("src"), "old_id": g.column("doc_id"),
+                      "doc_id": pa.array(new_ids, pa.uint64()), "dl": g.column("dl")})
+
+    # ---- postings of every overlapping row group, old docID -> new docID
+    # by a join on (src, old_id). Only this bucket's live, winning docs
+    # have a remap row, so dropped docs (duplicates, tombstones) and the
+    # other buckets' docs of a chunk cut across buckets all fall away
+    posts = []
+    for si, path, rgs in row_groups:
+        rows = pq.ParquetFile(path).read_row_groups(rgs, columns=["term", "n", "docs", "tfs"])
+        ids, tfs = decode_chunks(rows)
+        row_of = np.repeat(np.arange(rows.num_rows), rows.column("n").to_numpy())
+        posts.append(pa.table({
+            "src": pa.array(np.full(ids.size, si, np.int32)),
+            "old_id": pa.array(ids, pa.uint64()),
+            "term": rows.column("term").take(pa.array(row_of)),
+            "tf": pa.array(tfs, pa.uint64()),
+        }))
+    if not posts:
+        return _empty_chunks()
+    joined = pa.concat_tables(posts).join(remap, ["src", "old_id"], join_type="inner")
+    return encode_bucket(joined.select(["term", "doc_id", "tf", "dl"]), chunk_size)
 
 
-def merge_indexes(index_dirs: list[str], out_dir: str, *, num_buckets: int = 64,
-                  chunk_size: int = 1024,
-                  remap_cache_slices: int = 4096) -> dict:
+def merge_indexes(index_dirs: list[str], out_dir: str, *,
+                  num_buckets: int | None = None, chunk_size: int = 1024) -> dict:
     """Merge K indexes into out_dir. Returns the merged meta dict.
 
-    Distributed throughout — the driver never holds (or broadcasts)
-    anything per-doc; its footprint is O(num_buckets):
+    Every source must have the target bucket count (default: the first
+    source's ``meta.json`` value) and bucket shift, else ValueError.
+    Runs the build's phases over the sources instead of a corpus:
 
-    1. docmap merge: union of source docmaps (tagged with source rank)
-       -> bucket by md5(url) -> groupby(bucket) does first-source-wins
-       inside the group, assigns ranks, and atomically writes BOTH the
-       merged docmap part AND the bucket's remap parts
-       (src, old_id, new_id, dl, old_bucket) hive-laid-out as
-       ``remap/data/src=K/remap-<newbucket>.parquet`` — the group task
-       returns only a 1-row (bucket, n, total_dl) stats table, so the
-       driver collect is O(num_buckets).
-    2. postings: per-source chunk decode -> vectorized remap via
-       :func:`_remap_lookup` (dropped-duplicate docs filtered by
-       membership miss; dl attached from the same remap row, no dense
-       per-doc array anywhere) -> union -> (term, doc_id) sort ->
-       re-encode. Decode tasks load ONLY the (src, old_bucket) slices
-       their batches touch, cached per worker process: the final index
-       is term-major, so a common term's chunks sweep the doc-id space
-       and a worker warms toward its source's slice set, while
-       bucket-clustered inputs stay at a few slices — either way the
-       remap never transits the driver and IO is file/row-group pruned
-       by the hive src= + old_bucket layout.
+    P. one Ray task per target bucket (``build.per_bucket``, no shuffle):
+       read each source's docmap part and the chunk row groups whose
+       [first_doc, last_doc] statistics overlap the bucket (the driver
+       reads only footers), and decode them; drop tombstoned docs and
+       keep the first source's copy of each url; write the docmap part
+       with ``build.write_docmap_part`` (the docID contract); map (src,
+       old_id) to the new docID with an in-task Arrow join, which drops
+       every posting of a dropped doc or of another bucket's doc; sort
+       and encode with ``build.encode_bucket``.
+    S, D. ``build.corpus_stats`` and ``build.write_dict``.
+
+    The driver holds O(num_buckets x row groups) footer entries and the
+    sources' tombstones, never anything per doc or per posting.
     """
-    import json
-    import time
+    from textindex_ray.index.delete import load_tombstones
 
+    num_buckets = _index_buckets(index_dirs[0], num_buckets)
+    for d in index_dirs[1:]:
+        _index_buckets(d, num_buckets)
     os.makedirs(out_dir, exist_ok=True)
     docmap_dir = os.path.join(out_dir, "docmap")
-    remap_dir = os.path.join(out_dir, "remap")
     index_dir = os.path.join(out_dir, "index")
     dict_dir = os.path.join(out_dir, "dict")
-    for d in (docmap_dir, remap_dir, index_dir, dict_dir):
+    for d in (docmap_dir, index_dir, dict_dir):
         # reset: stale parts from a previous (crashed/different-source)
         # merge into the same out_dir must never mix with this run's
         _fresh(d)
 
-    # ---- merged docmap: first-source-wins per url, re-bucketed ------------
-    # compaction: each source's tombstoned docs (delete.py) are dropped
-    # here; their postings vanish via the remap membership miss below
-    from textindex_ray.index.delete import load_tombstones
-
-    srcs = []
-    for si, d in enumerate(index_dirs):
-        dm = ray.data.read_parquet(
-            _data(os.path.join(d, "docmap")),
-            columns=["url", "doc_id", "dl", "n_words", "doctype"],
-        )
-        tomb_ref = ray.put(load_tombstones(d))
-
-        def tag(batch: pa.Table, si=si, tomb_ref=tomb_ref) -> pa.Table:
-            tomb = ray.get(tomb_ref)
-            if tomb.size and batch.num_rows:
-                ids = batch.column("doc_id").to_numpy().astype(np.uint64)
-                pos = np.minimum(np.searchsorted(tomb, ids), tomb.size - 1)
-                batch = batch.filter(pa.array(tomb[pos] != ids))
-            names = ["old_id" if c == "doc_id" else c for c in batch.column_names]
-            return batch.rename_columns(names).append_column(
-                "src", pa.array(np.full(batch.num_rows, si, np.int32))
-            )
-
-        srcs.append(dm.map_batches(tag, batch_format="pyarrow"))
-    alldm = srcs[0]
-    for s in srcs[1:]:
-        alldm = alldm.union(s)
-
-    # bucket reuse: a source's old_id already encodes md5(url) %
-    # src_num_buckets in its top bits — when every source was built with
-    # the TARGET bucket count, bucket = old_id >> shift and the per-url
-    # md5 re-hash (a Python loop over the whole corpus) is skipped.
-    same_buckets = True
-    for d in index_dirs:
-        try:
-            import json as _json
-
-            with open(os.path.join(d, "meta.json")) as f:
-                m = _json.load(f)
-            if int(m.get("num_buckets", -1)) != num_buckets or int(
-                m.get("bucket_shift", BUCKET_SHIFT)
-            ) != BUCKET_SHIFT:
-                same_buckets = False
-        except OSError:
-            same_buckets = False
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        if same_buckets:
-            b = (
-                batch.column("old_id").to_numpy().astype(np.uint64)
-                >> np.uint64(BUCKET_SHIFT)
-            ).astype(np.int64)
-        else:
-            b = url_bucket(batch.column("url").to_pylist(), num_buckets)
-        return batch.append_column("bucket", pa.array(b.astype(np.int64)))
-
-    # first-source-wins happens INSIDE the bucket group (md5 bucketing
-    # colocates every copy of a url): a groupby(url) would pay Ray's
-    # ~0.2 ms-per-group Python cost over the whole corpus
-    won = alldm.map_batches(add_bucket, batch_format="pyarrow")
-
-    dmdir = _data(docmap_dir)
-    rmdir = _data(remap_dir)
-
-    def assign_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        g = g.take(
-            pc.sort_indices(g, [("url", "ascending"), ("src", "ascending")])
-        )
-        n0 = g.num_rows
-        if n0 > 1:
-            u = g.column("url").combine_chunks()
-            eq = pc.equal(u.slice(1, n0 - 1), u.slice(0, n0 - 1)).to_numpy(
-                zero_copy_only=False
-            )
-            starts = np.concatenate(([0], np.flatnonzero(~eq) + 1))
-            g = g.take(pa.array(starts))
-        n = g.num_rows
-        bucket = int(g.column("bucket")[0].as_py())
-        ids = (np.uint64(bucket) << np.uint64(BUCKET_SHIFT)) + np.arange(n, dtype=np.uint64)
-        docmap = pa.table(
-            {
-                "url": g.column("url"),
-                "doc_id": pa.array(ids, pa.uint64()),
-                "segment_id": pa.array(np.full(n, bucket, dtype=np.uint32), pa.uint32()),
-                "local_doc_id": pa.array(np.arange(n, dtype=np.uint64), pa.uint64()),
-                "dl": g.column("dl").cast(pa.uint32()),
-                "n_words": g.column("n_words").cast(pa.uint32()),
-                "doctype": g.column("doctype"),
-            }
-        )
-        tmp = os.path.join(dmdir, "docmap-%05d.parquet.tmp" % bucket)
-        pq.write_table(docmap, tmp)
-        os.replace(tmp, os.path.join(dmdir, "docmap-%05d.parquet" % bucket))
-        # remap parts: compact fixed-width rows, hive-partitioned by
-        # source so a decode task's slice load reads only its source's
-        # files (old_bucket sorted within each file -> row-group pruning)
-        remap = pa.table(
-            {
-                "src": g.column("src").cast(pa.int32()),
-                "old_id": g.column("old_id").cast(pa.uint64()),
-                "new_id": pa.array(ids, pa.uint64()),
-                "dl": g.column("dl").cast(pa.uint32()),
-            }
-        )
-        srcs_here = np.unique(remap.column("src").to_numpy())
-        import pyarrow.compute as pc2
-
-        for si in srcs_here.tolist():
-            sub = remap.filter(pc2.equal(remap.column("src"), si))
-            old_np = sub.column("old_id").to_numpy().astype(np.uint64)
-            order2 = np.argsort(old_np)
-            sub = sub.take(pa.array(order2)).append_column(
-                "old_bucket",
-                pa.array(
-                    (old_np[order2] >> np.uint64(BUCKET_SHIFT)).astype(np.int64),
-                    pa.int64(),
-                ),
-            ).drop_columns(["src"])
-            sdir = os.path.join(rmdir, "src=%d" % int(si))
-            os.makedirs(sdir, exist_ok=True)
-            tmp2 = os.path.join(sdir, "remap-%05d.parquet.tmp" % bucket)
-            pq.write_table(sub, tmp2)
-            os.replace(tmp2, os.path.join(sdir, "remap-%05d.parquet" % bucket))
-        return pa.table(
-            {
-                "bucket": pa.array([bucket], pa.int64()),
-                "n": pa.array([n], pa.int64()),
-                "total_dl": pa.array(
-                    [int(np.sum(g.column("dl").to_numpy().astype(np.int64)))],
-                    pa.int64(),
-                ),
-            }
-        )
-
-    # driver collect is one row per bucket (never per doc/url)
-    stats_df = (
-        won.groupby("bucket")
-        .map_groups(assign_bucket, batch_format="pyarrow")
-        .to_pandas()
-    )
+    t0 = time.time()
+    buckets = sorted({
+        int(f[len("docmap-"):-len(".parquet")])
+        for d in index_dirs
+        for f in os.listdir(_data(os.path.join(d, "docmap")))
+        if f.startswith("docmap-") and f.endswith(".parquet")
+    })
+    if buckets:
+        tombs = [load_tombstones(d) for d in index_dirs]
+        row_groups = _row_groups_by_bucket(index_dirs, num_buckets)
+        docmap_data = _data(docmap_dir)
+        per_bucket(
+            [{"bucket": b} for b in buckets],
+            lambda item: _merge_bucket(item["bucket"], index_dirs, tombs,
+                                       row_groups.get(item["bucket"], []),
+                                       docmap_data, chunk_size),
+        ).write_parquet(_data(index_dir))
+    if not any(f.endswith(".parquet") for f in os.listdir(_data(docmap_dir))):
+        # no live doc in any source
+        return _write_empty_index(out_dir, num_buckets, chunk_size)
+    timings = {"postings_sec": time.time() - t0}
     _commit(docmap_dir, {"phase": "merge-docmap", "sources": index_dirs})
-    _commit(remap_dir, {"phase": "merge-remap", "sources": index_dirs})
-    # per-run cache token for _remap_lookup (see _REMAP_SLICES)
-    run_token = os.stat(os.path.join(remap_dir, "_COMMITTED")).st_mtime_ns
-
-    n_docs = int(stats_df["n"].sum()) if len(stats_df) else 0
-    total_dl = int(stats_df["total_dl"].sum()) if len(stats_df) else 0
-    avgdl = total_dl / n_docs if n_docs else 0.0
-
-    # ---- postings: decode + remap per source, union, re-sort, re-encode ---
-    def make_decode_remap(si: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            ids_all, tf_all = decode_chunks(batch)
-            new_all, dl_all, keep = _remap_lookup(
-                rmdir, run_token, si, ids_all, remap_cache_slices
-            )
-            # each surviving posting's chunk row -> its term
-            n_col = batch.column("n").to_numpy().astype(np.int64)
-            row_idx = np.repeat(np.arange(batch.num_rows), n_col)[keep]
-            return pa.table(
-                {
-                    "term": batch.column("term").take(pa.array(row_idx, pa.int64())),
-                    "doc_id": pa.array(new_all[keep], pa.uint64()),
-                    "tf": pa.array(tf_all[keep].astype(np.uint32), pa.uint32()),
-                    "dl": pa.array(dl_all[keep], pa.uint32()),
-                }
-            )
-
-        return fn
-
-    parts = []
-    for si, d in enumerate(index_dirs):
-        src = ray.data.read_parquet(
-            _data(os.path.join(d, "index")), columns=["term", "n", "docs", "tfs"]
-        )
-        parts.append(src.map_batches(make_decode_remap(si), batch_format="pyarrow"))
-    postings = parts[0]
-    for p in parts[1:]:
-        postings = postings.union(p)
-
-    chunks = postings.sort(["term", "doc_id"]).map_batches(
-        encode_chunks, fn_kwargs={"chunk_size": chunk_size}, batch_format="pyarrow"
-    )
-    chunks.write_parquet(_data(index_dir))
     _commit(index_dir, {"phase": "merge-index", "sources": index_dirs})
 
-    cds = ray.data.read_parquet(_data(index_dir), columns=["term", "n", "cf"])
-    if cds.count() > 0:
-        build_dict_distributed(_data(index_dir), _data(dict_dir))
-    else:
-        pq.write_table(
-            pa.table({"term": pa.array([], pa.string()),
-                      "df": pa.array([], pa.uint64()),
-                      "cf": pa.array([], pa.uint64())}),
-            os.path.join(_data(dict_dir), "empty.parquet"),
-        )
+    n_docs, total_dl = corpus_stats(docmap_dir)
+    write_dict(index_dir, dict_dir)
     _commit(dict_dir, {"phase": "merge-dict"})
-
-    meta = {
-        "n_docs": n_docs, "total_dl": int(total_dl), "avgdl": float(avgdl),
+    return write_meta(out_dir, {
+        "n_docs": n_docs, "total_dl": total_dl,
+        "avgdl": (total_dl / n_docs) if n_docs else 0.0,
         "k1": K1, "b": B, "num_buckets": num_buckets,
         "bucket_shift": BUCKET_SHIFT, "chunk_size": chunk_size,
-        "merged_from": list(index_dirs), "built_at": time.time(), "timings": {},
-    }
-    with open(os.path.join(out_dir, "meta.json.tmp"), "w") as f:
-        json.dump(meta, f, indent=2)
-    os.replace(os.path.join(out_dir, "meta.json.tmp"), os.path.join(out_dir, "meta.json"))
-    return meta
+        "merged_from": list(index_dirs), "built_at": time.time(),
+        "timings": timings,
+    })
 
 
 class IndexUpdateLock:
@@ -405,18 +249,15 @@ class IndexUpdateLock:
         self._fd = None
 
     def __enter__(self):
-        import json as _json
-        import time as _time
-
         for attempt in (0, 1):
             try:
                 self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.write(self._fd, _json.dumps(
-                    {"pid": os.getpid(), "ts": _time.time()}).encode())
+                os.write(self._fd, json.dumps(
+                    {"pid": os.getpid(), "ts": time.time()}).encode())
                 return self
             except FileExistsError:
                 try:
-                    age = _time.time() - os.stat(self.path).st_mtime
+                    age = time.time() - os.stat(self.path).st_mtime
                 except OSError:
                     continue  # holder released between our two syscalls
                 if attempt == 0 and age > self.stale_sec:
@@ -458,35 +299,56 @@ def _with_update_lock(argpos: int):
     return deco
 
 
-@_with_update_lock(0)
-def compact_index(index_dir: str, *, num_buckets: int = 64,
-                  chunk_size: int = 1024) -> dict:
-    """Force-compact a (possibly segmented) index NOW: full-merge every
-    segment (dropping tombstoned docs and docID-remapping) and
-    atomically swap the single-segment result in. The on-demand form of
-    the ratio-triggered compaction inside ``update_index``."""
-    from textindex_ray.index.segments import list_segments
-
-    work = index_dir.rstrip("/") + ".work"
-    merged = os.path.join(work, "merged")
-    shutil.rmtree(work, ignore_errors=True)
-    meta = merge_indexes(list_segments(index_dir), merged,
-                         num_buckets=num_buckets, chunk_size=chunk_size)
-
+def _swap_in(index_dir: str, merged: str) -> None:
+    """Crash-safe swap of a merged index into index_dir. The merged index
+    must pass a read check BEFORE the old index is touched, and the .bak
+    copy survives until the swapped-in index passes a read check too — a
+    failure at any point leaves either the old index in place or a
+    recoverable .bak next to it. The old segments.json / segments/
+    travel into .bak with the old base; the merged index is
+    single-segment."""
     from textindex_ray.query.engine import IndexReader
 
-    IndexReader(merged)  # pre-swap read check
+    IndexReader(merged)  # pre-swap read check (raises on a bad merge)
     bak = index_dir.rstrip("/") + ".bak"
     shutil.rmtree(bak, ignore_errors=True)
     os.replace(index_dir, bak)
     os.replace(merged, index_dir)
     try:
-        IndexReader(index_dir)
+        IndexReader(index_dir)  # post-swap read check
     except Exception:
+        # roll back: restore the old index from .bak
         os.replace(index_dir, merged)
         os.replace(bak, index_dir)
         raise
     shutil.rmtree(bak, ignore_errors=True)
+
+
+def _compact(index_dir: str, merged: str, num_buckets: int | None,
+             chunk_size: int) -> dict:
+    """Merge every segment of index_dir into ``merged`` (dropping
+    tombstoned docs) and swap the single-segment result in. Unlocked:
+    callers hold the index's update lock."""
+    from textindex_ray.index.segments import list_segments
+
+    meta = merge_indexes(list_segments(index_dir), merged,
+                         num_buckets=num_buckets, chunk_size=chunk_size)
+    _swap_in(index_dir, merged)
+    return meta
+
+
+@_with_update_lock(0)
+def compact_index(index_dir: str, *, num_buckets: int | None = None,
+                  chunk_size: int = 1024) -> dict:
+    """Force-compact a (possibly segmented) index NOW: full-merge every
+    segment (dropping tombstoned docs and docID-remapping) and
+    atomically swap the single-segment result in. The on-demand form of
+    the ratio-triggered compaction inside ``update_index``.
+    num_buckets defaults to the index's own (a different value raises
+    ValueError)."""
+    work = index_dir.rstrip("/") + ".work"
+    shutil.rmtree(work, ignore_errors=True)
+    meta = _compact(index_dir, os.path.join(work, "merged"), num_buckets, chunk_size)
     shutil.rmtree(work, ignore_errors=True)
     return meta
 
@@ -511,7 +373,7 @@ def _tomb_filter(index_dir: str):
 
 @_with_update_lock(1)
 def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
-                 num_buckets: int = 64, chunk_size: int = 1024,
+                 num_buckets: int | None = None, chunk_size: int = 1024,
                  membership: str = "auto", exact_limit: int = 1_000_000,
                  fp_rate: float = 0.01, num_partitions: int = 4,
                  mode: str = "segment", compact_ratio: float = 0.5,
@@ -529,10 +391,13 @@ def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
         query-time merge). Matches the reference's true incremental
         semantics (threads.rs:292-297 skip-already-indexed,
         word_map.rs:203-249 append-in-place).
-      - "merge": the one-shot path — build the delta, then immediately
-        full-merge it with every existing segment (pays a base-index
-        re-encode per increment; right when increments are rare and
-        large, or to force compaction now).
+      - "merge": the one-shot path — append the delta, then compact
+        every segment into one, even when no document was added (pays a
+        base-index re-encode per increment; right when increments are
+        rare and large, or to force compaction now).
+
+    num_buckets defaults to the base index's own; a different value
+    raises ValueError (segments and compaction need one bucket count).
 
     membership picks how the committed-url anti-join runs:
       - "exact": broadcast exact set (small committed sets)
@@ -549,8 +414,6 @@ def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
     (n_docs/avgdl/segments/compacted); any index replacement is atomic
     (build aside + read-checked swap).
     """
-    import json
-
     from textindex_ray.index.segments import (
         append_segment,
         collection_stats,
@@ -560,6 +423,7 @@ def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
 
     if mode not in ("segment", "merge"):
         raise ValueError("mode must be 'segment' or 'merge', got %r" % mode)
+    num_buckets = _index_buckets(index_dir, num_buckets)
     seg_dirs = list_segments(index_dir)
 
     work_dir = work_dir or (index_dir.rstrip("/") + ".work")
@@ -680,71 +544,33 @@ def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
         staged, delta_dir, num_buckets=num_buckets, chunk_size=chunk_size
     )
 
-    def _swap_in(merged: str) -> None:
-        # Crash-safe swap: the merged index must pass a read check BEFORE
-        # the old index is touched, and the .bak copy survives until the
-        # swapped-in index passes a read check too — a failure at any
-        # point leaves either the old index in place or a recoverable
-        # .bak next to it. The old segments.json / segments/ travel into
-        # .bak with the old base; the merged index is single-segment.
+    # ---- append the delta; compact past the ratio (always in merge mode)
+    added = int(delta_meta["n_docs"])
+    if added:
         from textindex_ray.query.engine import IndexReader
 
-        IndexReader(merged)  # pre-swap read check (raises on a bad merge)
-        bak = index_dir.rstrip("/") + ".bak"
-        shutil.rmtree(bak, ignore_errors=True)
-        os.replace(index_dir, bak)
-        os.replace(merged, index_dir)
+        IndexReader(delta_dir)  # read check before the delta becomes visible
+        gen = int(load_manifest(index_dir).get("generation", 0)) + 1
+        rel = os.path.join("segments", "seg-%06d" % gen)
+        dest = os.path.join(index_dir, rel)
+        shutil.rmtree(dest, ignore_errors=True)
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        # same-filesystem move when work_dir sits next to index_dir (the
+        # default); falls back to copy+rm across filesystems
         try:
-            IndexReader(index_dir)  # post-swap read check
-        except Exception:
-            # roll back: restore the old index from .bak
-            os.replace(index_dir, merged)
-            os.replace(bak, index_dir)
-            raise
-        shutil.rmtree(bak, ignore_errors=True)
-
-    if mode == "merge":
-        meta = merge_indexes(seg_dirs + [delta_dir], merged_dir,
-                             num_buckets=num_buckets, chunk_size=chunk_size)
-        _swap_in(merged_dir)
-        shutil.rmtree(work_dir, ignore_errors=True)
-        return meta
-
-    # ---- mode == "segment": append the delta, compact past the ratio -----
-    added = int(delta_meta["n_docs"])
-    if added == 0:
-        shutil.rmtree(work_dir, ignore_errors=True)
-        out = collection_stats(index_dir)
-        out.update({"added_docs": 0, "compacted": False,
-                    "segments": list_segments(index_dir)})
-        return out
-
-    from textindex_ray.query.engine import IndexReader
-
-    IndexReader(delta_dir)  # read check before the delta becomes visible
-    gen = int(load_manifest(index_dir).get("generation", 0)) + 1
-    rel = os.path.join("segments", "seg-%06d" % gen)
-    dest = os.path.join(index_dir, rel)
-    shutil.rmtree(dest, ignore_errors=True)
-    os.makedirs(os.path.dirname(dest), exist_ok=True)
-    # same-filesystem move when work_dir sits next to index_dir (the
-    # default); falls back to copy+rm across filesystems
-    try:
-        os.replace(delta_dir, dest)
-    except OSError:
-        shutil.copytree(delta_dir, dest)
-    append_segment(index_dir, rel)  # the atomic commit point
+            os.replace(delta_dir, dest)
+        except OSError:
+            shutil.copytree(delta_dir, dest)
+        append_segment(index_dir, rel)  # the atomic commit point
 
     with open(os.path.join(index_dir, "meta.json")) as f:
         base_docs = int(json.load(f).get("n_docs", 0))
     stats = collection_stats(index_dir)
-    delta_docs = stats["n_docs"] - base_docs
-    compacted = False
-    if delta_docs > compact_ratio * max(base_docs, 1):
-        merge_indexes(list_segments(index_dir), merged_dir,
-                      num_buckets=num_buckets, chunk_size=chunk_size)
-        _swap_in(merged_dir)
-        compacted = True
+    compacted = mode == "merge" or (
+        added > 0 and stats["n_docs"] - base_docs > compact_ratio * max(base_docs, 1)
+    )
+    if compacted:
+        _compact(index_dir, merged_dir, num_buckets, chunk_size)
         stats = collection_stats(index_dir)
     shutil.rmtree(work_dir, ignore_errors=True)
     stats.update({"added_docs": added, "compacted": compacted,
