@@ -7,8 +7,8 @@ Usage (cluster):
 
 Idempotent and resumable: phase-level _COMMITTED markers are honored, so
 resubmitting an interrupted job continues from the last committed phase;
---incremental anti-joins the corpus against the committed docmap and
-indexes only new documents (merge.update_index); --incremental and
+--incremental indexes only urls that no committed segment holds live
+(merge.update_index: a build excluding the segments); --incremental and
 --compact keep the index's own bucket count.
 """
 

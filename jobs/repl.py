@@ -1,7 +1,7 @@
 """Interactive REPL over a built index — the reference's command surface
 (/root/reference/src/main.rs:196-368, grammar cmds.rs:251-276):
 
-    index <corpus>      incremental update (have_file anti-join + merge)
+    index <corpus>      incremental update (have_file: skip committed urls)
     find <terms...>     AND of */? wildcard terms; prints first 20 hits
     files <glob>        url glob over the docmap
     next / first        page the last find result by 20 (main.rs:207-276)

@@ -2985,3 +2985,19 @@ def test_centroid_outlier(ray_session):
     # in-distribution docs score above the off-distribution one
     assert min(want[0], want[1]) > want[2]
     assert want[3] == 0
+
+
+def test_centroid_outlier_exact_bounds():
+    """Past 2^53 per squared norm or 2^63 for their product the DuckDB
+    twin and the float step can diverge: the check raises there, on
+    Python ints (numpy int64 sums would wrap silently)."""
+    from textindex_ray.functions.textstats import _check_cosine_bounds
+
+    top = 2**53 - 1
+    _check_cosine_bounds(top, 1)
+    _check_cosine_bounds(1, top)
+    _check_cosine_bounds(2**31, 2**31)
+    _check_cosine_bounds(2**10, 2**52)  # product 2^62
+    for n2v, n2_s in ((2**53, 1), (1, 2**53), (2**32, 2**31), (2**11, 2**52)):
+        with pytest.raises(ValueError, match="exact bounds"):
+            _check_cosine_bounds(n2v, n2_s)

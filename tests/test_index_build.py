@@ -201,6 +201,9 @@ def test_resume_param_mismatch_rejected(ray_session, tmp_path):
     build_index(c, out, num_buckets=4)
     with pytest.raises(ValueError, match="resume mismatch"):
         build_index(c, out, num_buckets=16)
+    # the excluded segment set is a resume parameter too
+    with pytest.raises(ValueError, match="exclude_segments"):
+        build_index(c, out, num_buckets=4, exclude_segments=[str(tmp_path / "seg")])
 
 
 def test_reader_open_memory_bounded(tmp_path):

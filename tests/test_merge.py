@@ -1,5 +1,6 @@
 """Segment merge with docID remap + incremental update (SURVEY.md §7 M4)."""
 
+import contextlib
 import json
 import os
 import shutil
@@ -77,7 +78,21 @@ def test_merge_duplicate_urls_first_wins(ray_session, tmp_path):
     assert sorted(dm.column("url").to_pylist()) == sorted(oracle.doc_id)
 
 
-def test_merge_large_bounded_driver_memory(ray_session, tmp_path):
+@pytest.fixture(scope="module")
+def large_indexes(ray_session, tmp_path_factory):
+    """{"s": 15k-doc indexes, "l": 30k-doc indexes}, each a pair built
+    from corpus seeds 1 and 2 (same urls, different bodies)."""
+    tmp = tmp_path_factory.mktemp("large")
+    out = {}
+    for tag, n in (("s", 15000), ("l", 30000)):
+        for seed in (1, 2):
+            write_corpus(str(tmp / f"c{seed}{tag}"), n, seed=seed, rows_per_file=4096)
+            build_index(str(tmp / f"c{seed}{tag}"), str(tmp / f"i{seed}{tag}"), num_buckets=16)
+        out[tag] = (str(tmp / f"i1{tag}"), str(tmp / f"i2{tag}"))
+    return out
+
+
+def test_merge_large_bounded_driver_memory(large_indexes, tmp_path):
     """Merging multi-10k-doc indexes holds NOTHING per-doc on the driver:
     each bucket task remaps its own docs, and the driver reads only
     file footers. Evidence: (a) the absolute driver allocation peak is
@@ -86,17 +101,9 @@ def test_merge_large_bounded_driver_memory(ray_session, tmp_path):
     import tracemalloc
 
     peaks = {}
-    for tag, n in (("s", 15000), ("l", 30000)):
-        write_corpus(str(tmp_path / f"ca{tag}"), n, seed=1, rows_per_file=4096)
-        write_corpus(str(tmp_path / f"cb{tag}"), n, seed=2, rows_per_file=4096)
-        build_index(str(tmp_path / f"ca{tag}"), str(tmp_path / f"ia{tag}"), num_buckets=16)
-        build_index(str(tmp_path / f"cb{tag}"), str(tmp_path / f"ib{tag}"), num_buckets=16)
+    for tag in ("s", "l"):
         tracemalloc.start()
-        merge_indexes(
-            [str(tmp_path / f"ia{tag}"), str(tmp_path / f"ib{tag}")],
-            str(tmp_path / f"im{tag}"),
-            num_buckets=16,
-        )
+        merge_indexes(list(large_indexes[tag]), str(tmp_path / f"im{tag}"), num_buckets=16)
         _, peaks[tag] = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
@@ -111,8 +118,7 @@ def test_merge_large_bounded_driver_memory(ray_session, tmp_path):
 
     # correctness of the larger merge ("l" pair)
     rm = IndexReader(str(tmp_path / "iml"))
-    ra = IndexReader(str(tmp_path / "ial"))
-    rb = IndexReader(str(tmp_path / "ibl"))
+    ra, rb = (IndexReader(d) for d in large_indexes["l"])
     dm_a = ra.docmap(columns=["url", "dl"])
     dm_b = rb.docmap(columns=["url", "dl"])
     urls_a = dict(zip(dm_a.column("url").to_pylist(), dm_a.column("dl").to_pylist()))
@@ -128,23 +134,36 @@ def test_merge_large_bounded_driver_memory(ray_session, tmp_path):
     assert len(ids_m) == 10
 
 
-def test_bloom_filter_properties():
-    """No false negatives ever; FP rate near nominal."""
-    from textindex_ray.index.bloom import UrlBloom
+def test_update_large_bounded_driver_memory(large_indexes, tmp_path):
+    """An append holds nothing per committed url on the driver: the
+    bucket tasks read the committed docmap parts themselves. One fixed
+    delta (500 committed urls, 500 new ones) appended to a 15k-doc and
+    a 30k-doc base gives a flat driver allocation peak."""
+    import tracemalloc
 
-    member = ["https://site-%d.example/p/%d" % (i % 97, i) for i in range(50_000)]
-    fresh = ["https://other-%d.example/q/%d" % (i % 89, i) for i in range(50_000)]
-    bl = UrlBloom.sized_for(len(member), fp_rate=0.01)
-    for i in range(0, len(member), 8192):
-        bl.add_batch(member[i : i + 8192])
-    assert bl.contains_batch(member).all()  # zero false negatives
-    fp = bl.contains_batch(fresh).mean()
-    assert fp < 0.03, fp  # 1% nominal, 3x headroom
+    t = generate_corpus(1000, seed=3)
+    new = t.slice(500).set_column(
+        t.schema.get_field_index("url"), "url",
+        pa.array(["https://new.example/%06d.html" % i for i in range(500)]))
+    delta = _write_parts(tmp_path, delta=pa.concat_tables([t.slice(0, 500), new]))["delta"]
+    peaks, added = {}, {}
+    for tag in ("s", "l"):
+        base = str(tmp_path / f"base{tag}")
+        shutil.copytree(large_indexes[tag][0], base,
+                        ignore=shutil.ignore_patterns("tokenized"))
+        tracemalloc.start()
+        added[tag] = update_index(delta, base, compact_ratio=10.0)["added_docs"]
+        _, peaks[tag] = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert added["s"] == added["l"] > 0, added
+    # a committed-url set on the driver grows by MBs from 15k to 30k urls
+    assert peaks["l"] < peaks["s"] + 1024 * 1024, peaks
 
 
-def test_update_index_bloom_path(ray_session, tmp_path):
-    """update_index via the Bloom prefilter + left_anti join produces the
-    same index as the exact-set path (semantics are exact by design)."""
+def test_update_index_grown_corpus(ray_session, tmp_path):
+    """update_index of a grown corpus (the committed docs plus new ones)
+    then compaction gives the index of a full build of the grown
+    corpus."""
     import pyarrow.parquet as pq
 
     full = generate_corpus(200)
@@ -154,10 +173,9 @@ def test_update_index_bloom_path(ray_session, tmp_path):
         d.mkdir()
         pq.write_table(t, str(d / "part.parquet"))
 
-    idx_b = str(tmp_path / "idx_bloom")
+    idx_b = str(tmp_path / "idx")
     build_index(str(tmp_path / "c1"), idx_b, num_buckets=8)
-    update_index(str(tmp_path / "c2"), idx_b, num_buckets=8, membership="bloom",
-                 mode="merge")
+    update_index(str(tmp_path / "c2"), idx_b, num_buckets=8, mode="merge")
 
     ref = str(tmp_path / "idx_ref")
     build_index(str(tmp_path / "c2"), ref, num_buckets=8)
@@ -172,11 +190,10 @@ def test_update_index_bloom_path(ray_session, tmp_path):
     np.testing.assert_allclose(sa, sb, rtol=0, atol=0)
 
 
-def test_update_index_bloom_disjoint_corpus(ray_session, tmp_path):
-    """Bloom path with an ALL-NEW corpus (no committed url appears): the
-    'maybe committed' side is empty at a tiny fp_rate, which previously
-    flowed schema-less through the left_anti join. Result must equal a
-    full rebuild over the union."""
+def test_update_index_disjoint_corpus(ray_session, tmp_path):
+    """update_index of an ALL-NEW corpus (no committed url appears, so
+    the exclusion drops nothing): the result must equal a full rebuild
+    over the union."""
     import pyarrow.parquet as pq
 
     full = generate_corpus(200)
@@ -192,8 +209,7 @@ def test_update_index_bloom_disjoint_corpus(ray_session, tmp_path):
 
     idx = str(tmp_path / "idx")
     build_index(str(tmp_path / "c1"), idx, num_buckets=8)
-    update_index(str(tmp_path / "c2"), idx, num_buckets=8,
-                 membership="bloom", fp_rate=1e-6, mode="merge")
+    update_index(str(tmp_path / "c2"), idx, num_buckets=8, mode="merge")
 
     ref = str(tmp_path / "idx_ref")
     build_index(str(call), ref, num_buckets=8)
@@ -264,13 +280,26 @@ def _assert_same_tables(got_dir, want_dir):
         assert got[sub].equals(want[sub]), sub
 
 
+@contextlib.contextmanager
+def _no_ray_shuffle(monkeypatch, what):
+    """Make every Ray Data shuffle and ``Dataset.join`` raise."""
+    import ray.data
+
+    def shuffle(*a, **k):
+        raise AssertionError("%s ran a Ray shuffle" % what)
+
+    with monkeypatch.context() as m:
+        for op in ("sort", "groupby", "join", "repartition", "random_shuffle",
+                   "aggregate", "unique"):
+            m.setattr(ray.data.Dataset, op, shuffle)
+        yield
+
+
 def test_compact_equals_fresh_build(ray_session, tmp_path, monkeypatch):
     """Two appends of url-unique, tombstone-free deltas, then
     compact_index: the index, dict and docmap tables equal a fresh build
     of the union corpus. Compaction runs no Ray shuffle (no sort,
     groupby, join or repartition) and writes no remap tables."""
-    import ray.data
-
     full = generate_corpus(240)
     c = _write_parts(tmp_path, c0=full.slice(0, 120), c1=full.slice(120, 60),
                      c2=full.slice(180, 60), call=full)
@@ -281,13 +310,7 @@ def test_compact_equals_fresh_build(ray_session, tmp_path, monkeypatch):
     update_index(c["c2"], idx, compact_ratio=10.0)
     assert len(list_segments(idx)) == 3
 
-    def shuffle(*a, **k):
-        raise AssertionError("compaction ran a Ray shuffle")
-
-    with monkeypatch.context() as m:
-        for op in ("sort", "groupby", "join", "repartition", "random_shuffle",
-                   "aggregate", "unique"):
-            m.setattr(ray.data.Dataset, op, shuffle)
+    with _no_ray_shuffle(monkeypatch, "compaction"):
         compact_index(idx, chunk_size=16)
     assert list_segments(idx) == [idx]
     assert not os.path.exists(os.path.join(idx, "remap"))
@@ -357,3 +380,62 @@ def test_bucket_count_follows_the_index(ray_session, tmp_path):
 
     meta = compact_index(idx)  # the lock was released by every failure
     assert meta["num_buckets"] == 4 and list_segments(idx) == [idx]
+
+
+def test_update_index_recrawl_equals_fresh_build(ray_session, tmp_path):
+    """A re-crawl delta: half its urls are committed (with new bodies,
+    some of them tombstoned), half are new. The appended segment's
+    tables equal a fresh build of exactly the surviving rows (the new
+    and the tombstoned urls); a live committed url keeps its first
+    committed document. The same exclusion without the tokenize
+    checkpoint writes the same tables, and a build whose every url is
+    committed writes the empty index."""
+    from textindex_ray.index.delete import delete_docs, load_tombstones
+
+    full = generate_corpus(240)
+    old = full.slice(60, 60)
+    recrawl = old.set_column(old.schema.get_field_index("html"), "html",
+                             full.slice(180, 60).column("html"))
+    delta = pa.concat_tables([recrawl, full.slice(120, 60)])
+    c = _write_parts(tmp_path, base=full.slice(0, 120), delta=delta)
+    idx = str(tmp_path / "idx")
+    build_index(c["base"], idx, num_buckets=8)
+    assert delete_docs(idx, "*/00006?.html") > 0
+
+    dm = pq.read_table(os.path.join(idx, "docmap", "data"), columns=["url", "doc_id"])
+    dead = set(load_tombstones(idx).tolist())
+    live = {u for u, d in zip(dm.column("url").to_pylist(),
+                              dm.column("doc_id").to_pylist()) if d not in dead}
+    survivors = delta.filter(pa.array([u not in live for u in delta.column("url").to_pylist()]))
+    assert 60 < survivors.num_rows < 120
+
+    m = update_index(c["delta"], idx, compact_ratio=10.0)
+    segs = list_segments(idx)
+    assert len(segs) == 2 and m["added_docs"] > 0
+    ref = str(tmp_path / "ref")
+    build_index(_write_parts(tmp_path, survivors=survivors)["survivors"], ref, num_buckets=8)
+    _assert_same_tables(segs[1], ref)
+
+    no_ckpt = str(tmp_path / "no_ckpt")
+    build_index(c["delta"], no_ckpt, num_buckets=8, checkpoint=False,
+                exclude_segments=[idx])
+    _assert_same_tables(no_ckpt, ref)
+    for checkpoint in (True, False):
+        out = str(tmp_path / ("none-%s" % checkpoint))
+        meta = build_index(c["delta"], out, num_buckets=8, checkpoint=checkpoint,
+                           exclude_segments=segs)
+        assert meta["n_docs"] == 0 and IndexReader(out).n_docs == 0
+
+
+def test_update_index_runs_no_shuffle(ray_session, tmp_path, monkeypatch):
+    """An append is one build whose bucket tasks do the committed-url
+    anti-join: no Ray shuffle and no Dataset.join. Re-submitting a
+    committed corpus appends no segment."""
+    full = generate_corpus(160)
+    c = _write_parts(tmp_path, c0=full.slice(0, 100), c1=full)
+    idx = str(tmp_path / "idx")
+    build_index(c["c0"], idx, num_buckets=8)
+    with _no_ray_shuffle(monkeypatch, "update_index"):
+        assert update_index(c["c1"], idx, compact_ratio=10.0)["added_docs"] > 0
+        m = update_index(c["c1"], idx, compact_ratio=10.0)
+    assert m["added_docs"] == 0 and len(list_segments(idx)) == 2

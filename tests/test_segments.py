@@ -56,8 +56,7 @@ def seg_setup(ray_session, tmp_path_factory):
     build_index(str(tmp / "c1"), idx, num_buckets=8)
     before = _data_mtimes(idx)
     m1 = update_index(str(tmp / "c2"), idx, num_buckets=8, compact_ratio=10.0)
-    m2 = update_index(str(tmp / "c3"), idx, num_buckets=8, compact_ratio=10.0,
-                      membership="bloom")
+    m2 = update_index(str(tmp / "c3"), idx, num_buckets=8, compact_ratio=10.0)
     ref = str(tmp / "ref")
     _write(full, str(tmp / "call"))
     build_index(str(tmp / "call"), ref, num_buckets=8)

@@ -1756,6 +1756,19 @@ def lm_perplexity(
 # ---------------------------------------------------------------------------
 # corpus-centroid outlier score (model-based quality filtering analog)
 
+def _check_cosine_bounds(n2v: int, n2_s: int) -> None:
+    """centroid_outlier's exactness bounds, on Python ints: each squared
+    norm converts to float64 exactly only below 2^53, and the DuckDB
+    twin's BIGINT product n2v * n2_S overflows at 2^63. Past either the
+    engine and its SQL twin can disagree, so raise ValueError."""
+    if n2_s >= 2**53 or n2v >= 2**53 or n2v * n2_s >= 2**63:
+        raise ValueError(
+            "centroid_outlier: squared norms n2v=%d, n2_S=%d exceed the exact "
+            "bounds (each < 2^53, product < 2^63); use a larger d or a "
+            "smaller corpus" % (n2v, n2_s)
+        )
+
+
 def centroid_outlier(
     ds: "ray.data.Dataset",
     *,
@@ -1774,8 +1787,10 @@ def centroid_outlier(
     are INTEGER sums (order- and partition-free); cos_ppm =
     floor(dot * 1e6 / sqrt(n2_doc * n2_S)) is the tf_cosine_pairs
     float recipe — one correctly-rounded sqrt/divide on exact int64s,
-    engine == DuckDB bit-for-bit (each n2 < 2^53 and the BIGINT
-    product < 2^63 at graded scale; see tf_cosine_pairs' bound note).
+    engine == DuckDB bit-for-bit while each n2 < 2^53 and the BIGINT
+    product < 2^63. The norms and dots are Python ints, and a corpus
+    past those bounds raises ValueError (``_check_cosine_bounds``)
+    instead of scoring silently wrong.
 
     Scale: two streaming passes. Pass 1 reduces to d integers (per-
     batch vector partials -> one d-row groupby -> a d-int broadcast —
@@ -1825,17 +1840,20 @@ def centroid_outlier(
     )
     S = np.zeros(D, np.int64)
     S[agg["dim"].to_numpy().astype(np.int64)] = agg["val"].to_numpy()
-    n2_s = int((S * S).sum())
+    s_l = S.tolist()
+    n2_s = sum(x * x for x in s_l)
+    _check_cosine_bounds(0, n2_s)
 
     def score(batch: pa.Table) -> pa.Table:
         out = []
         for t in batch.column("text").to_pylist():
-            v = vec_of(t)
-            n2v = int((v * v).sum())
+            v = vec_of(t).tolist()
+            n2v = sum(x * x for x in v)
             if n2v == 0 or n2_s == 0:
                 out.append(0)
                 continue
-            dot = int((v * S).sum())
+            _check_cosine_bounds(n2v, n2_s)
+            dot = sum(a * b for a, b in zip(v, s_l))
             out.append(int(math.floor(
                 float(dot) * 1e6 / math.sqrt(float(n2v) * float(n2_s))
             )))

@@ -12,6 +12,8 @@ Ray-Data-first physical plan (SURVEY.md §3.1 / §7):
                         (checkpoint=True, per_bucket) or
                         groupby(bucket).map_groups (checkpoint=False),
                         both running make_assign_and_build:
+                          [exclude_segments] drop the urls that the
+                             same bucket of an excluded index holds live
                           write_docmap_part: assign docIDs + write the
                              docmap part atomically
                           -> explode (term, doc_id, tf, dl)
@@ -48,7 +50,11 @@ compact.
 Resume: each phase directory gets an atomic ``_COMMITTED`` marker and a
 ``metrics.jsonl`` lineage record; a rerun skips committed phases.
 Incremental indexing (the reference's have_file dedup,
-threads.rs:292-297, made distributed) lives in merge.update_index.
+threads.rs:292-297, made distributed) is a build with
+``exclude_segments``: Phase P's bucket task anti-joins its docs against
+the same bucket's live docmap urls of each excluded index, with no
+exchange, because a url has one bucket in every index of one bucket
+count. merge.update_index runs it over every committed segment.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ import ray
 import ray.data
 
 from textindex_ray.index.codec import _empty_chunks, encode_chunks
+from textindex_ray.index.delete import load_tombstones
 from textindex_ray.stages.extract import extract_tokenize
 
 K1 = 1.2
@@ -159,14 +166,45 @@ def encode_bucket(postings: pa.Table, chunk_size: int) -> pa.Table:
     return encode_chunks(postings.take(order), chunk_size)
 
 
-def make_assign_and_build(docmap_dir: str, chunk_size: int):
-    """Per-bucket build fn over the bucket's extracted docs: assign
-    docIDs and write the docmap part (``write_docmap_part``), explode
-    (term, doc_id, tf, dl) postings, then ``encode_bucket``. Heavy terms
-    are spread evenly across buckets by construction (md5 bucketing),
-    so term skew cannot concentrate in one task."""
+def read_live_docmap_part(index_dir: str, bucket: int, tomb: np.ndarray,
+                          columns: list[str]) -> pa.Table | None:
+    """One bucket's docmap part of an index, less its tombstoned docs
+    (``tomb``: the index's ``delete.load_tombstones``); None when the
+    index has no part for the bucket. ``columns`` must include doc_id."""
+    part = os.path.join(_data(os.path.join(index_dir, "docmap")),
+                        "docmap-%05d.parquet" % bucket)
+    if not os.path.exists(part):
+        return None
+    dm = pq.read_table(part, columns=columns)
+    return dm.filter(pa.array(~np.isin(dm.column("doc_id").to_numpy(), tomb)))
+
+
+def make_assign_and_build(docmap_dir: str, chunk_size: int, exclude: list = ()):
+    """Per-bucket build fn over the bucket's extracted docs: drop the
+    urls that ``exclude`` already holds, assign docIDs and write the
+    docmap part (``write_docmap_part``), explode (term, doc_id, tf, dl)
+    postings, then ``encode_bucket``. Heavy terms are spread evenly
+    across buckets by construction (md5 bucketing), so term skew cannot
+    concentrate in one task.
+
+    ``exclude`` is a list of (index dir, tombstones) pairs. A url's
+    bucket is md5(url) % num_buckets in every index of one bucket count,
+    so the bucket's live excluded urls are the live urls of each
+    excluded index's docmap part for the same bucket: an anti-join with
+    no exchange."""
 
     def assign_and_build(group: pa.Table) -> pa.Table:
+        if group.num_rows == 0:
+            return _empty_chunks()
+        bucket = int(group.column("bucket")[0].as_py())
+        if exclude:
+            typ = group.schema.field("url").type
+            done = [read_live_docmap_part(d, bucket, tomb, ["url", "doc_id"])
+                    for d, tomb in exclude]
+            urls = pa.chunked_array(
+                [t.column("url").cast(typ) for t in done if t is not None], typ)
+            group = group.filter(pc.invert(
+                pc.is_in(group.column("url"), value_set=urls.combine_chunks())))
         group = group.take(pc.sort_indices(group.column("url")))
         # duplicate urls (re-crawls): keep one row per url, chosen by a
         # content digest so the winner is deterministic regardless of
@@ -191,7 +229,6 @@ def make_assign_and_build(docmap_dir: str, chunk_size: int):
             group = group.take(pa.array(keep, pa.int64()))
         if group.num_rows == 0:
             return _empty_chunks()
-        bucket = int(group.column("bucket")[0].as_py())
         doc_ids = write_docmap_part(docmap_dir, bucket, group)
 
         terms = group.column("terms")
@@ -362,8 +399,8 @@ def read_corpus(corpus_path, input_format: str = "parquet") -> "ray.data.Dataset
     format: "parquet" (column-pruned read), "files" (directory walk,
     sources/files.py), "jsonl" (NDJSON dumps, sources/jsonl.py), or
     "warc" (Common-Crawl archives, sources/warc.py). Shared by
-    build_index and merge.update_index so every lifecycle entry point
-    accepts every source."""
+    build_index (and so by every lifecycle entry point) and
+    pipelines/ingest.py."""
     if input_format == "files":
         from textindex_ray.sources.files import read_file_corpus
 
@@ -392,6 +429,7 @@ def build_index(
     checkpoint: bool = True,
     resume: bool = True,
     input_format: str = "parquet",
+    exclude_segments: list[str] = (),
 ) -> dict:
     """Run the full build. Returns the meta dict (N, avgdl, timings).
 
@@ -414,6 +452,16 @@ def build_index(
     sources/jsonl.py auto-detects the payload field), or "warc"
     (Common-Crawl WARC/WET archives, one file per read task —
     sources/warc.py).
+
+    exclude_segments: index dirs (of this num_buckets) whose live urls
+    must not be indexed. Each bucket task reads the bucket's docmap part
+    of every excluded index, drops its tombstoned docs (a deleted url is
+    indexed again), and filters its own docs by url before the docID
+    assignment, so the result equals a build of the corpus without
+    those urls. When every doc is excluded, the build writes the empty
+    index. The sorted list is a resume parameter: resuming under a
+    different list raises ValueError. merge.update_index passes every
+    committed segment.
     """
     import pyarrow.dataset as pads
 
@@ -424,7 +472,8 @@ def build_index(
     dict_dir = os.path.join(out_dir, "dict")
     timings = {}
 
-    params = {"num_buckets": num_buckets, "chunk_size": chunk_size}
+    params = {"num_buckets": num_buckets, "chunk_size": chunk_size,
+              "exclude_segments": sorted(exclude_segments)}
     have_tok = resume and checkpoint and _committed(tok_dir)
     have_idx = resume and _committed(index_dir)
     if have_tok:
@@ -489,11 +538,12 @@ def build_index(
         ):
             # rows existed but every document classified 'ignore'
             return _write_empty_index(out_dir, num_buckets, chunk_size)
+        exclude = [(d, load_tombstones(d)) for d in exclude_segments]
         if bucket_dirs:
             # the staging write already scattered docs by bucket: build each
             # bucket's mini-index from its own partition dir — zero Ray
             # shuffle in this phase (embarrassingly parallel over buckets)
-            build_one = make_assign_and_build(_data(docmap_dir), chunk_size)
+            build_one = make_assign_and_build(_data(docmap_dir), chunk_size, exclude)
 
             def build_bucket(item: dict) -> pa.Table:
                 g = pq.read_table(
@@ -516,10 +566,13 @@ def build_index(
                 columns=["url", "bucket", "doctype", "dl", "n_words", "terms", "tfs"],
             )
             chunks = tok.groupby("bucket").map_groups(
-                make_assign_and_build(_data(docmap_dir), chunk_size),
+                make_assign_and_build(_data(docmap_dir), chunk_size, exclude),
                 batch_format="pyarrow",
             )
         chunks.write_parquet(_data(index_dir))
+        if not any(f.endswith(".parquet") for f in os.listdir(_data(docmap_dir))):
+            # exclude_segments already holds every document
+            return _write_empty_index(out_dir, num_buckets, chunk_size)
         timings["postings_sec"] = time.time() - t0
         _commit(docmap_dir, {"phase": "docmap", "sec": timings["postings_sec"]}, params)
         _commit(index_dir, {"phase": "index", "sec": timings["postings_sec"]}, params)

@@ -16,12 +16,12 @@ reference's incremental have_file semantics: already-indexed files are
 skipped, /root/reference/src/proc3/threads.rs:292-297); later sources'
 postings for dropped docs find no new docID and fall away.
 
-update_index: incremental indexing — anti-join the corpus against the
-committed docmap urls, build a delta index of only the new documents,
-then append it as a segment (and compact). At testdata scale the
-committed-url set is broadcast (ray.put); at 10^12-doc scale the same
-anti-join runs with a Bloom filter per worker instead of an exact set
-(noted inline).
+update_index: incremental indexing — build a delta index of only the
+new documents, then append it as a segment (and compact). The delta is
+a build that excludes the committed segments: each of its bucket tasks
+anti-joins its docs against the live urls of the same bucket of every
+segment (``build.make_assign_and_build``), so no url set reaches the
+driver and no doc crosses an exchange.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-import ray
-import ray.data
-
 from textindex_ray.index.build import (
     BUCKET_SHIFT,
     _commit,
@@ -49,6 +46,7 @@ from textindex_ray.index.build import (
     corpus_stats,
     encode_bucket,
     per_bucket,
+    read_live_docmap_part,
     write_dict,
     write_docmap_part,
     write_meta,
@@ -56,10 +54,6 @@ from textindex_ray.index.build import (
     B,
 )
 from textindex_ray.index.codec import _empty_chunks, decode_chunks
-
-
-def _read_docmap(index_dir: str) -> pa.Table:
-    return pq.read_table(_data(os.path.join(index_dir, "docmap")))
 
 
 def _index_buckets(index_dir: str, num_buckets: int | None) -> int:
@@ -120,13 +114,11 @@ def _merge_bucket(bucket: int, index_dirs: list[str], tombs: list,
     # ---- docs: live docs of every source, first source's copy per url
     docs = []
     for si, d in enumerate(index_dirs):
-        part = os.path.join(_data(os.path.join(d, "docmap")), "docmap-%05d.parquet" % bucket)
-        if not os.path.exists(part):
-            continue
-        dm = pq.read_table(part, columns=["url", "doc_id", "dl", "n_words", "doctype"])
-        live = ~np.isin(dm.column("doc_id").to_numpy(), tombs[si])
-        docs.append(dm.filter(pa.array(live)).append_column(
-            "src", pa.array(np.full(int(live.sum()), si, np.int32))))
+        dm = read_live_docmap_part(d, bucket, tombs[si],
+                                   ["url", "doc_id", "dl", "n_words", "doctype"])
+        if dm is not None:
+            docs.append(dm.append_column(
+                "src", pa.array(np.full(dm.num_rows, si, np.int32))))
     g = pa.concat_tables(docs)
     g = g.take(pc.sort_indices(g, [("url", "ascending"), ("src", "ascending")]))
     if g.num_rows > 1:
@@ -353,29 +345,9 @@ def compact_index(index_dir: str, *, num_buckets: int | None = None,
     return meta
 
 
-def _tomb_filter(index_dir: str):
-    """Per-segment batch filter dropping tombstoned docmap rows —
-    committed = LIVE urls only: a deleted url re-appearing in the corpus
-    is re-indexed (delete.py contract)."""
-    from textindex_ray.index.delete import load_tombstones
-
-    tomb = load_tombstones(index_dir)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        if tomb.size and batch.num_rows:
-            ids = batch.column("doc_id").to_numpy().astype(np.uint64)
-            pos = np.minimum(np.searchsorted(tomb, ids), tomb.size - 1)
-            batch = batch.filter(pa.array(tomb[pos] != ids))
-        return batch.select(["url"])
-
-    return fn
-
-
 @_with_update_lock(1)
 def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
                  num_buckets: int | None = None, chunk_size: int = 1024,
-                 membership: str = "auto", exact_limit: int = 1_000_000,
-                 fp_rate: float = 0.01, num_partitions: int = 4,
                  mode: str = "segment", compact_ratio: float = 0.5,
                  input_format: str = "parquet") -> dict:
     """Incremental indexing: index only not-yet-committed urls.
@@ -399,18 +371,12 @@ def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
     num_buckets defaults to the base index's own; a different value
     raises ValueError (segments and compaction need one bucket count).
 
-    membership picks how the committed-url anti-join runs:
-      - "exact": broadcast exact set (small committed sets)
-      - "bloom": broadcast Bloom bitmap prefilter (~10 bits/url at 1% FP);
-        "definitely new" rows pass immediately, "maybe committed" rows
-        (committed urls + FP-rate of the new ones) are resolved EXACTLY
-        with a partitioned left_anti join — same result, only the
-        maybe-set shuffles
-      - "auto": exact when committed docs <= exact_limit, else bloom
-
-    The anti-join runs against EVERY committed segment (base + deltas),
-    so segments stay url-disjoint — the invariant the query-time merge's
-    exactness rests on. Returns the collection meta
+    The delta is ``build_index(..., exclude_segments=every committed
+    segment)``: each bucket task drops the urls that the same bucket of
+    any segment holds as a live (untombstoned) doc, so segments stay
+    url-disjoint — the invariant the query-time merge's exactness rests
+    on — and a deleted url that reappears is indexed again. A delta with
+    no new document appends no segment. Returns the collection meta
     (n_docs/avgdl/segments/compacted); any index replacement is atomic
     (build aside + read-checked swap).
     """
@@ -424,124 +390,14 @@ def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
     if mode not in ("segment", "merge"):
         raise ValueError("mode must be 'segment' or 'merge', got %r" % mode)
     num_buckets = _index_buckets(index_dir, num_buckets)
-    seg_dirs = list_segments(index_dir)
 
     work_dir = work_dir or (index_dir.rstrip("/") + ".work")
     delta_dir = os.path.join(work_dir, "delta")
     merged_dir = os.path.join(work_dir, "merged")
     shutil.rmtree(work_dir, ignore_errors=True)
-    os.makedirs(delta_dir, exist_ok=True)
-
-    n_committed = 0
-    for d in seg_dirs:
-        with open(os.path.join(d, "meta.json")) as f:
-            n_committed += int(json.load(f).get("n_docs", 0))
-    if membership == "auto":
-        membership = "exact" if n_committed <= exact_limit else "bloom"
-
-    from textindex_ray.index.build import read_corpus
-
-    ds = read_corpus(corpus_path, input_format)
-
-    if membership == "exact":
-        committed: set = set()
-        for d in seg_dirs:
-            dm = _read_docmap(d).select(["url", "doc_id"])
-            committed.update(_tomb_filter(d)(dm).column("url").to_pylist())
-        ref = ray.put(committed)
-
-        def anti_join(batch: pa.Table) -> pa.Table:
-            done = ray.get(ref)
-            mask = pa.array([u not in done for u in batch.column("url").to_pylist()])
-            return batch.filter(mask)
-
-        new_corpus = ds.map_batches(anti_join, batch_format="pyarrow")
-    else:
-        from textindex_ray.index.bloom import UrlBloom
-
-        # committed urls across ALL segments, tombstone-filtered per
-        # segment. materialize: cds is consumed twice (bloom build
-        # stream + the left_anti join) — without this the read +
-        # tombstone filter lineage re-executes per consumer
-        seg_streams = [
-            ray.data.read_parquet(
-                _data(os.path.join(d, "docmap")), columns=["url", "doc_id"]
-            ).map_batches(_tomb_filter(d), batch_format="pyarrow")
-            for d in seg_dirs
-        ]
-        cds = seg_streams[0]
-        for s in seg_streams[1:]:
-            cds = cds.union(s)
-        cds = cds.materialize()
-        bloom = UrlBloom.sized_for(n_committed, fp_rate)
-
-        def partial_bloom(batch: pa.Table) -> pa.Table:
-            b = UrlBloom(bloom.m, bloom.k)
-            b.add_batch(batch.column("url").to_pylist())
-            return pa.table({"words": pa.array([b.words.tobytes()], pa.large_binary())})
-
-        # per-block partial bitmaps, OR-reduced streaming on the driver
-        # (one m-bit bitmap resident at a time)
-        for bt in cds.map_batches(
-            partial_bloom, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            for wb in bt.column("words"):
-                bloom.words |= np.frombuffer(wb.as_py(), dtype=np.uint64)
-        bloom_ref = ray.put((bloom.m, bloom.k, bloom.words))
-
-        def flag(batch: pa.Table) -> pa.Table:
-            m, kk, words = ray.get(bloom_ref)
-            bl = UrlBloom(m, kk, words)
-            maybe = bl.contains_batch(batch.column("url").to_pylist())
-            return batch.append_column("maybe", pa.array(maybe))
-
-        import pyarrow.compute as pc
-
-        flagged = ds.map_batches(flag, batch_format="pyarrow").materialize()
-
-        def take_new(batch: pa.Table) -> pa.Table:
-            mask = pc.invert(batch.column("maybe").combine_chunks())
-            return batch.filter(mask).drop_columns(["maybe"])
-
-        def take_maybe(batch: pa.Table) -> pa.Table:
-            return batch.filter(
-                batch.column("maybe").combine_chunks()
-            ).drop_columns(["maybe"])
-
-        definitely_new = flagged.map_batches(take_new, batch_format="pyarrow")
-        # the maybe side can be EMPTY (all-new corpus, zero Bloom false
-        # positives); an empty dataset loses its schema through
-        # Dataset.join, so materialize and branch on the count — the
-        # pattern documented for dedup.minhash_lsh_pairs
-        maybe = flagged.map_batches(take_maybe, batch_format="pyarrow").materialize()
-        if maybe.count() == 0:
-            new_corpus = definitely_new
-        else:
-            from textindex_ray.functions._util import join_right
-
-            survivors = join_right(maybe, num_partitions).join(
-                # NEITHER side may hold zero-row blocks: the documented
-                # right-side hazard, and (measured on 2.49.2) a LEFT
-                # side whose filter emptied some blocks breaks
-                # left_anti the same way — join_right's repartition
-                # fixes both
-                join_right(cds, num_partitions), join_type="left_anti",
-                num_partitions=num_partitions, on=("url",),
-            )
-            new_corpus = definitely_new.union(survivors)
-    staged = os.path.join(work_dir, "corpus-delta")
-    os.makedirs(staged, exist_ok=True)
-    new_corpus.write_parquet(staged)
-    # ensure readable even when zero new rows
-    if not any(f.endswith(".parquet") for f in os.listdir(staged)):
-        pq.write_table(
-            pa.table({"url": pa.array([], pa.string()),
-                      "html": pa.array([], pa.binary())}),
-            os.path.join(staged, "empty.parquet"),
-        )
-
     delta_meta = build_index(
-        staged, delta_dir, num_buckets=num_buckets, chunk_size=chunk_size
+        corpus_path, delta_dir, num_buckets=num_buckets, chunk_size=chunk_size,
+        input_format=input_format, exclude_segments=list_segments(index_dir),
     )
 
     # ---- append the delta; compact past the ratio (always in merge mode)
