@@ -28,7 +28,9 @@ def main(argv=None) -> int:
                          "default and only allowed value is the index's own")
     ap.add_argument("--chunk-size", type=int, default=1024)
     ap.add_argument("--batch-size", type=int, default=256)
-    ap.add_argument("--no-checkpoint", action="store_true")
+    ap.add_argument("--no-checkpoint", action="store_true",
+                    help="delete the tokenized staging once the index "
+                         "phase commits (a rerun then re-extracts)")
     ap.add_argument("--no-resume", action="store_true")
     ap.add_argument("--incremental", action="store_true")
     ap.add_argument("--mode", choices=["segment", "merge"], default="segment",

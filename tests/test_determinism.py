@@ -26,7 +26,7 @@ def test_results_invariant_to_execution_shape(ray_session, tmp_path):
     configs = [
         dict(batch_size=32),
         dict(batch_size=256),
-        # the other postings route: extract fused into groupby(bucket)
+        # no checkpoint: the staging is deleted once the index commits
         dict(batch_size=64, checkpoint=False),
     ]
     readers = []

@@ -3,7 +3,8 @@
 Extraction runs as stateless tasks, so no stage can hold every CPU while
 the read or write stages wait for one. Each cluster size runs in a fresh
 subprocess (one ``ray.init`` per process) under a timeout, builds the
-same corpus on both postings routes (``checkpoint`` True and False), and
+same corpus with ``checkpoint`` True and False (the staging kept or
+deleted after the index phase commits), and
 must leave no ``raylet`` / ``gcs_server`` of its own running.
 """
 

@@ -1,6 +1,7 @@
 """Segment merge with docID remap + incremental update (SURVEY.md §7 M4)."""
 
 import contextlib
+import glob
 import json
 import os
 import shutil
@@ -295,11 +296,53 @@ def _no_ray_shuffle(monkeypatch, what):
         yield
 
 
+@contextlib.contextmanager
+def _no_ray_data_job(monkeypatch, what):
+    """Make every way ``index/`` could start a Ray Data execution raise."""
+    import ray.data
+
+    def job(*a, **k):
+        raise AssertionError("%s ran a Ray Data job" % what)
+
+    with monkeypatch.context() as m:
+        m.setattr(ray.data, "from_items", job)
+        for op in ("write_parquet", "materialize", "take_all", "iter_batches"):
+            m.setattr(ray.data.Dataset, op, job)
+        yield
+
+
+def _check_bucket_parts(index_dir, phase):
+    """Phase P's layout and lineage: index/data holds exactly
+    part-<b>.parquet for each bucket b with postings, and the phase's
+    metrics.jsonl record lists one task record per bucket, the buckets
+    with docs being exactly those with a docmap part, their docs summing
+    to meta n_docs."""
+    with open(os.path.join(index_dir, "meta.json")) as f:
+        n_docs = json.load(f)["n_docs"]
+    first = pq.read_table(os.path.join(index_dir, "index", "data"), columns=["first_doc"])
+    posted = sorted(set((first.column("first_doc").to_numpy() >> 36).tolist()))
+    assert sorted(os.listdir(os.path.join(index_dir, "index", "data"))) == [
+        "part-%05d.parquet" % b for b in posted]
+    docmap_buckets = sorted(int(f[len("docmap-"):-len(".parquet")])
+                            for f in os.listdir(os.path.join(index_dir, "docmap", "data")))
+    with open(os.path.join(index_dir, "index", "metrics.jsonl")) as f:
+        rec = [r for r in map(json.loads, f) if r["phase"] == phase][-1]
+    assert rec["tasks"] == len(rec["buckets"])
+    assert sorted(r["bucket"] for r in rec["buckets"] if r["docs"]) == docmap_buckets
+    assert sum(r["docs"] for r in rec["buckets"]) == n_docs
+    assert sorted(r["bucket"] for r in rec["buckets"] if r["chunk_rows"]) == posted
+
+
 def test_compact_equals_fresh_build(ray_session, tmp_path, monkeypatch):
     """Two appends of url-unique, tombstone-free deltas, then
     compact_index: the index, dict and docmap tables equal a fresh build
     of the union corpus. Compaction runs no Ray shuffle (no sort,
-    groupby, join or repartition) and writes no remap tables."""
+    groupby, join or repartition), no Ray Data job and writes no remap
+    tables; the fresh build runs one Ray Data job (Phase T's staging
+    write). Both write one chunk part per bucket and a per-bucket
+    lineage record."""
+    import ray.data
+
     full = generate_corpus(240)
     c = _write_parts(tmp_path, c0=full.slice(0, 120), c1=full.slice(120, 60),
                      c2=full.slice(180, 60), call=full)
@@ -310,12 +353,55 @@ def test_compact_equals_fresh_build(ray_session, tmp_path, monkeypatch):
     update_index(c["c2"], idx, compact_ratio=10.0)
     assert len(list_segments(idx)) == 3
 
-    with _no_ray_shuffle(monkeypatch, "compaction"):
+    with _no_ray_shuffle(monkeypatch, "compaction"), \
+            _no_ray_data_job(monkeypatch, "compaction"):
         compact_index(idx, chunk_size=16)
     assert list_segments(idx) == [idx]
     assert not os.path.exists(os.path.join(idx, "remap"))
-    build_index(c["call"], ref, num_buckets=8, chunk_size=16)
+    writes = []
+    write_parquet = ray.data.Dataset.write_parquet
+    with monkeypatch.context() as m:
+        m.setattr(ray.data.Dataset, "write_parquet",
+                  lambda ds, *a, **k: writes.append(a) or write_parquet(ds, *a, **k))
+        build_index(c["call"], ref, num_buckets=8, chunk_size=16)
+    assert len(writes) == 1
     _assert_same_tables(idx, ref)
+    _check_bucket_parts(idx, "merge-index")
+    _check_bucket_parts(ref, "index")
+
+
+def test_stray_temp_parts_ignored(ray_session, tmp_path, monkeypatch):
+    """The build's part writers write under a dot-prefixed temporary
+    name, then os.replace; a crash leaves such a file behind. The
+    reader, Phase S and compaction ignore it."""
+    from textindex_ray.index import build
+
+    c = _write_parts(tmp_path, c=generate_corpus(120))
+    idx, ref = str(tmp_path / "idx"), str(tmp_path / "ref")
+    build_index(c["c"], ref, num_buckets=8)
+    shutil.copytree(ref, idx)
+    for sub, name in (("index", "part-00000.parquet"), ("docmap", "docmap-00000.parquet")):
+        with open(os.path.join(idx, sub, "data", "." + name + ".tmp"), "wb") as f:
+            f.write(b"PAR1 cut short")
+    r, want = IndexReader(idx), IndexReader(ref)
+    assert r.n_docs == want.n_docs > 0
+    assert r.docmap().equals(want.docmap())
+    assert r.find(["alpha"]).tolist() == want.find(["alpha"]).tolist()
+    assert r.bm25_topk(["alpha", "beta"], 10)[0].tolist() == \
+        want.bm25_topk(["alpha", "beta"], 10)[0].tolist()
+    assert build.corpus_stats(os.path.join(idx, "docmap")) == \
+        build.corpus_stats(os.path.join(ref, "docmap"))
+    compact_index(idx)
+    _assert_same_tables(idx, ref)
+
+    renamed = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace",
+                        lambda src, dst: renamed.append(os.path.basename(src)) or replace(src, dst))
+    docs = pq.read_table(os.path.join(ref, "docmap", "data"),
+                         columns=["url", "dl", "n_words", "doctype"]).sort_by("url")
+    build.write_docmap_part(str(tmp_path), 3, docs)
+    assert renamed == [".docmap-00003.parquet.tmp"]
 
 
 def test_compact_source_with_cross_bucket_chunks(ray_session, tmp_path):
@@ -412,6 +498,8 @@ def test_update_index_recrawl_equals_fresh_build(ray_session, tmp_path):
     m = update_index(c["delta"], idx, compact_ratio=10.0)
     segs = list_segments(idx)
     assert len(segs) == 2 and m["added_docs"] > 0
+    # the delta is built without a checkpoint: the segment has no staging
+    assert not glob.glob(os.path.join(idx, "segments", "seg-*", "tokenized"))
     ref = str(tmp_path / "ref")
     build_index(_write_parts(tmp_path, survivors=survivors)["survivors"], ref, num_buckets=8)
     _assert_same_tables(segs[1], ref)
@@ -419,6 +507,7 @@ def test_update_index_recrawl_equals_fresh_build(ray_session, tmp_path):
     no_ckpt = str(tmp_path / "no_ckpt")
     build_index(c["delta"], no_ckpt, num_buckets=8, checkpoint=False,
                 exclude_segments=[idx])
+    assert not os.path.exists(os.path.join(no_ckpt, "tokenized"))
     _assert_same_tables(no_ckpt, ref)
     for checkpoint in (True, False):
         out = str(tmp_path / ("none-%s" % checkpoint))

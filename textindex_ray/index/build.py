@@ -1,17 +1,16 @@
 """Distributed index build: corpus Parquet -> inverted index segments.
 
-Ray-Data-first physical plan (SURVEY.md §3.1 / §7):
+Physical plan (SURVEY.md §3.1 / §7):
 
-    Phase T  tokenize   read_parquet(corpus, columns=url/html)
+    Phase T  tokenize   read_corpus(corpus: url/html)
                         -> map_batches(extract_tokenize, stateless tasks;
                            the classifier is fused into the task, its
                            tables are per-process globals)
                         -> write_parquet(out/tokenized, partition_cols=bucket)
-                           [checkpoint=True only]
-    Phase P  postings   one task per bucket: staging dir bucket=K
-                        (checkpoint=True, per_bucket) or
-                        groupby(bucket).map_groups (checkpoint=False),
-                        both running make_assign_and_build:
+                        (the build's one Ray Data job; checkpoint=False
+                        deletes it once the index phase commits)
+    Phase P  postings   per_bucket: one plain Ray task per staging dir
+                        bucket=K, running make_assign_and_build:
                           [exclude_segments] drop the urls that the
                              same bucket of an excluded index holds live
                           write_docmap_part: assign docIDs + write the
@@ -20,26 +19,25 @@ Ray-Data-first physical plan (SURVEY.md §3.1 / §7):
                           -> encode_bucket: in-task sort (term, doc_id),
                              then codec.encode_chunks, every chunk of the
                              bucket in one numpy pass [delta+varint]
-                        -> write_parquet(out/index)
+                        -> write_part(out/index/data/part-K.parquet)
     Phase S  stats      corpus_stats: docmap dl -> N/avgdl (driver-side
                         below 256MB, distributed aggregate above)
     Phase D  dict       write_dict: (term, n, cf) chunk rows -> per-term
                         sums -> out/dict (driver-side below
                         DICT_DRIVER_LIMIT, distributed aggregate above)
 
-merge.merge_indexes (and so compaction) runs the same Phase P layout,
-writer, encoder, Phase S and Phase D over existing indexes instead of a
+merge.merge_indexes (and so compaction) runs the same per_bucket tasks,
+writers, encoder, Phase S and Phase D over existing indexes instead of a
 corpus, so a compacted index equals a fresh build of its documents.
 
 Shuffle inventory: the only all-to-all is doc-granular and keyed on
-``bucket`` — the hive-partitioned staging write (a map-side scatter) or,
-without a checkpoint, one groupby(bucket). It runs before postings
-explode, on the small side of the data. Buckets own disjoint docID
-ranges, so each bucket writes its own chunk rows per term and no task
-ever holds one term's whole posting list: a hot term is spread evenly
-over buckets by the md5 bucketing (contrast the reference's single
-merge thread + 256 frequency bags, threads.rs:523-561,
-word_map.rs:23-43).
+``bucket``: the hive-partitioned staging write, a map-side scatter. It
+runs before postings explode, on the small side of the data. Buckets
+own disjoint docID ranges, so each bucket writes its own chunk rows per
+term and no task ever holds one term's whole posting list: a hot term is
+spread evenly over buckets by the md5 bucketing (contrast the
+reference's single merge thread + 256 frequency bags,
+threads.rs:523-561, word_map.rs:23-43).
 
 DocIDs: ``doc_id = bucket << 36 | rank_of_url_within_bucket`` with
 ``bucket = md5(url)[:2 bytes] % num_buckets`` — deterministic,
@@ -61,6 +59,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -91,8 +90,6 @@ def _committed(d: str) -> bool:
 def _fresh(d: str) -> None:
     """Reset an uncommitted phase dir: stale partial output from an
     interrupted run must not mix with the rerun's files."""
-    import shutil
-
     shutil.rmtree(_data(d), ignore_errors=True)
     os.makedirs(_data(d), exist_ok=True)
 
@@ -148,10 +145,19 @@ def write_docmap_part(docmap_dir: str, bucket: int, docs: pa.Table) -> np.ndarra
             "doctype": docs.column("doctype"),
         }
     )
-    tmp = os.path.join(docmap_dir, "docmap-%05d.parquet.tmp" % bucket)
-    pq.write_table(docmap, tmp)
-    os.replace(tmp, os.path.join(docmap_dir, "docmap-%05d.parquet" % bucket))
+    write_part(docmap, docmap_dir, "docmap-%05d.parquet" % bucket)
     return doc_ids
+
+
+def write_part(table: pa.Table, data_dir: str, name: str) -> int:
+    """Write one parquet part atomically and return its size in bytes:
+    first to a dot-prefixed temporary name, which no parquet dataset
+    reader lists, then ``os.replace``, so a crashed or retried task
+    leaves no half file that a reader could see."""
+    tmp = os.path.join(data_dir, "." + name + ".tmp")
+    pq.write_table(table, tmp)
+    os.replace(tmp, os.path.join(data_dir, name))
+    return os.path.getsize(os.path.join(data_dir, name))
 
 
 def encode_bucket(postings: pa.Table, chunk_size: int) -> pa.Table:
@@ -179,13 +185,15 @@ def read_live_docmap_part(index_dir: str, bucket: int, tomb: np.ndarray,
     return dm.filter(pa.array(~np.isin(dm.column("doc_id").to_numpy(), tomb)))
 
 
-def make_assign_and_build(docmap_dir: str, chunk_size: int, exclude: list = ()):
-    """Per-bucket build fn over the bucket's extracted docs: drop the
-    urls that ``exclude`` already holds, assign docIDs and write the
-    docmap part (``write_docmap_part``), explode (term, doc_id, tf, dl)
-    postings, then ``encode_bucket``. Heavy terms are spread evenly
-    across buckets by construction (md5 bucketing), so term skew cannot
-    concentrate in one task.
+def make_assign_and_build(tok_data: str, docmap_dir: str, chunk_size: int,
+                          exclude: list = ()):
+    """Per-bucket build fn, ``bucket -> (docs, chunk rows)``, over the
+    bucket's extracted docs in the staging dir ``tok_data/bucket=K``:
+    drop the urls that ``exclude`` already holds, assign docIDs and
+    write the docmap part (``write_docmap_part``), explode (term, doc_id,
+    tf, dl) postings, then ``encode_bucket``. Heavy terms are spread
+    evenly across buckets by construction (md5 bucketing), so term skew
+    cannot concentrate in one task.
 
     ``exclude`` is a list of (index dir, tombstones) pairs. A url's
     bucket is md5(url) % num_buckets in every index of one bucket count,
@@ -193,10 +201,11 @@ def make_assign_and_build(docmap_dir: str, chunk_size: int, exclude: list = ()):
     excluded index's docmap part for the same bucket: an anti-join with
     no exchange."""
 
-    def assign_and_build(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return _empty_chunks()
-        bucket = int(group.column("bucket")[0].as_py())
+    def assign_and_build(bucket: int) -> tuple[int, pa.Table]:
+        group = pq.read_table(
+            os.path.join(tok_data, "bucket=%d" % bucket),
+            columns=["url", "doctype", "dl", "n_words", "terms", "tfs"],
+        )
         if exclude:
             typ = group.schema.field("url").type
             done = [read_live_docmap_part(d, bucket, tomb, ["url", "doc_id"])
@@ -228,7 +237,7 @@ def make_assign_and_build(docmap_dir: str, chunk_size: int, exclude: list = ()):
             keep = sorted(i for _, i in best.values())
             group = group.take(pa.array(keep, pa.int64()))
         if group.num_rows == 0:
-            return _empty_chunks()
+            return 0, _empty_chunks()
         doc_ids = write_docmap_part(docmap_dir, bucket, group)
 
         terms = group.column("terms")
@@ -244,23 +253,36 @@ def make_assign_and_build(docmap_dir: str, chunk_size: int, exclude: list = ()):
                 ),
             }
         )
-        return encode_bucket(postings, chunk_size)
+        return group.num_rows, encode_bucket(postings, chunk_size)
 
     return assign_and_build
 
 
-def per_bucket(items: list[dict], build_one) -> "ray.data.Dataset":
-    """Phase P's task layout, shared by build and merge: one Ray task
-    per item (one bucket each), with no Ray shuffle. ``build_one(item)``
-    returns the bucket's chunk rows."""
+@ray.remote
+def _bucket_task(build_one, bucket: int, index_data_dir: str) -> dict:
+    """One Phase P task: build one bucket, write its chunk rows (when it
+    has any) to ``part-<bucket>.parquet`` with ``write_part``, and
+    return the bucket's lineage record."""
+    t0 = time.perf_counter()
+    docs, chunks = build_one(bucket)
+    nbytes = 0
+    if chunks.num_rows:
+        nbytes = write_part(chunks, index_data_dir, "part-%05d.parquet" % bucket)
+    return {"bucket": bucket, "docs": int(docs),
+            "postings": int(pc.sum(chunks.column("n")).as_py() or 0),
+            "chunk_rows": chunks.num_rows, "bytes": nbytes,
+            "sec": round(time.perf_counter() - t0, 6)}
 
-    def run_bucket(batch: pa.Table) -> pa.Table:
-        outs = [build_one(item) for item in batch.to_pylist()]
-        return pa.concat_tables(outs) if outs else _empty_chunks()
 
-    return ray.data.from_items(items).map_batches(
-        run_bucket, batch_format="pyarrow", batch_size=1
-    )
+def per_bucket(buckets: list[int], build_one, index_data_dir: str) -> list[dict]:
+    """Phase P, shared by build and merge: one plain Ray task per bucket
+    (no Ray Data job, no shuffle). ``build_one(bucket)`` writes the
+    bucket's docmap part and returns ``(docs, chunk rows)``; the task
+    writes the chunk rows to ``index_data_dir``. Returns one lineage
+    record per bucket (``bucket``, ``docs``, ``postings``,
+    ``chunk_rows``, ``bytes`` written, the task's ``sec``)."""
+    fn = ray.put(build_one)
+    return ray.get([_bucket_task.remote(fn, b, index_data_dir) for b in buckets])
 
 
 # Phase D runs on the driver below this many bytes of chunk rows, and as
@@ -433,13 +455,11 @@ def build_index(
 ) -> dict:
     """Run the full build. Returns the meta dict (N, avgdl, timings).
 
-    checkpoint=True (default) writes the tokenized staging table,
-    hive-partitioned by bucket, and is the resume boundary (re-runs skip
-    extraction); each bucket dir is then built by one task.
-    checkpoint=False fuses extract straight into a groupby(bucket)
-    shuffle (single streaming pipeline, index-granular resume only).
-    Both routes run the same per-bucket build (make_assign_and_build),
-    so they write the same chunk rows.
+    Phase T writes the tokenized staging table, hive-partitioned by
+    bucket; each bucket dir is then built by one plain Ray task
+    (``per_bucket``). checkpoint=True (default) keeps the staging as the
+    resume boundary (re-runs skip extraction); checkpoint=False deletes
+    ``tokenized/`` once the index phase commits.
 
     Extraction holds no state, so it runs as tasks on Ray's warm worker
     pool, sized by Ray, and cannot take every CPU away from the read and
@@ -474,7 +494,7 @@ def build_index(
 
     params = {"num_buckets": num_buckets, "chunk_size": chunk_size,
               "exclude_segments": sorted(exclude_segments)}
-    have_tok = resume and checkpoint and _committed(tok_dir)
+    have_tok = resume and _committed(tok_dir)
     have_idx = resume and _committed(index_dir)
     if have_tok:
         _check_params(tok_dir, {"num_buckets": num_buckets})
@@ -499,24 +519,18 @@ def build_index(
         elif pads.dataset(corpus_path).count_rows() == 0:
             return _write_empty_index(out_dir, num_buckets, chunk_size)
 
-    def extract_pipeline():
-        ds = read_corpus(corpus_path, input_format)
-        # classification is fused into the task (extract_tokenize
-        # classifies when no doctype column is present)
-        return ds.map_batches(
+    # ---- Phase T: tokenize into the bucket-partitioned staging ------------
+    if not have_tok and not have_idx:
+        t0 = time.time()
+        _fresh(tok_dir)
+        # classification is fused into extract_tokenize; the bucket-
+        # partitioned write is the map-side scatter that Phase P reads
+        read_corpus(corpus_path, input_format).map_batches(
             extract_tokenize,
             fn_kwargs={"num_buckets": num_buckets, "keep_text": keep_text},
             batch_format="pyarrow",
             batch_size=batch_size,
-        )
-
-    # ---- Phase T: tokenize checkpoint (optional) --------------------------
-    if checkpoint and not have_tok and not have_idx:
-        t0 = time.time()
-        _fresh(tok_dir)
-        # hive-partitioned by bucket: the map-side scatter IS the shuffle;
-        # the postings phase then reads each bucket dir independently
-        extract_pipeline().write_parquet(
+        ).write_parquet(
             _data(tok_dir), partition_cols=["bucket"], min_rows_per_file=50_000
         )
         timings["tokenize_sec"] = time.time() - t0
@@ -528,54 +542,26 @@ def build_index(
         t0 = time.time()
         _fresh(docmap_dir)
         _fresh(index_dir)
-        bucket_dirs = (
-            sorted(d for d in os.listdir(_data(tok_dir)) if d.startswith("bucket="))
-            if checkpoint and os.path.isdir(_data(tok_dir))
-            else []
-        )
-        if checkpoint and not bucket_dirs and not any(
-            f.endswith(".parquet") for f in os.listdir(_data(tok_dir))
-        ):
-            # rows existed but every document classified 'ignore'
-            return _write_empty_index(out_dir, num_buckets, chunk_size)
+        buckets = sorted(int(d.split("=", 1)[1])
+                         for d in os.listdir(_data(tok_dir)) if d.startswith("bucket="))
         exclude = [(d, load_tombstones(d)) for d in exclude_segments]
-        if bucket_dirs:
-            # the staging write already scattered docs by bucket: build each
-            # bucket's mini-index from its own partition dir — zero Ray
-            # shuffle in this phase (embarrassingly parallel over buckets)
-            build_one = make_assign_and_build(_data(docmap_dir), chunk_size, exclude)
-
-            def build_bucket(item: dict) -> pa.Table:
-                g = pq.read_table(
-                    os.path.join(_data(tok_dir), item["bucket_dir"]),
-                    columns=["url", "doctype", "dl", "n_words", "terms", "tfs"],
-                )
-                bucket = int(item["bucket_dir"].split("=")[1])
-                return build_one(g.append_column(
-                    "bucket", pa.array(np.full(g.num_rows, bucket, np.int64))
-                ))
-
-            chunks = per_bucket([{"bucket_dir": d} for d in bucket_dirs], build_bucket)
-        else:
-            # checkpoint=False (or a staging table without bucket dirs):
-            # the docs go through the one doc-level shuffle,
-            # groupby(bucket), and the same per-bucket build runs inside
-            # each group task
-            tok = extract_pipeline() if not checkpoint else ray.data.read_parquet(
-                _data(tok_dir),
-                columns=["url", "bucket", "doctype", "dl", "n_words", "terms", "tfs"],
-            )
-            chunks = tok.groupby("bucket").map_groups(
-                make_assign_and_build(_data(docmap_dir), chunk_size, exclude),
-                batch_format="pyarrow",
-            )
-        chunks.write_parquet(_data(index_dir))
+        recs = per_bucket(
+            buckets,
+            make_assign_and_build(_data(tok_dir), _data(docmap_dir), chunk_size, exclude),
+            _data(index_dir),
+        )
         if not any(f.endswith(".parquet") for f in os.listdir(_data(docmap_dir))):
-            # exclude_segments already holds every document
+            # every document classified 'ignore', or exclude_segments
+            # already holds every document
+            if not checkpoint:
+                shutil.rmtree(tok_dir, ignore_errors=True)
             return _write_empty_index(out_dir, num_buckets, chunk_size)
         timings["postings_sec"] = time.time() - t0
         _commit(docmap_dir, {"phase": "docmap", "sec": timings["postings_sec"]}, params)
-        _commit(index_dir, {"phase": "index", "sec": timings["postings_sec"]}, params)
+        _commit(index_dir, {"phase": "index", "sec": timings["postings_sec"],
+                            "tasks": len(recs), "buckets": recs}, params)
+    if not checkpoint:
+        shutil.rmtree(tok_dir, ignore_errors=True)
 
     # ---- Phase S: corpus stats (from the docmap) ---------------------------
     t0 = time.time()

@@ -1,15 +1,15 @@
 """Index merge and compaction, and incremental index update.
 
 merge_indexes: merge K indexes built with the same bucket count into one
-index through the build's Phase P (index/build.py): one Ray task per
-target bucket, with no Ray shuffle. A url's bucket is md5(url) %
-num_buckets in every source, so every copy of a doc and every one of its
-postings lives in the same bucket everywhere; a bucket task reads only
-its bucket's docmap part of each source and the chunk row groups whose
-doc range overlaps the bucket, then writes the bucket's docmap part and
-chunk rows with the build's own writer and encoder. On sources with no
-duplicate urls and no tombstones, the merged index equals a fresh build
-of the union corpus, table for table.
+index through the build's Phase P (``build.per_bucket``): one plain Ray
+task per target bucket, with no Ray Data job and no shuffle. A url's
+bucket is md5(url) % num_buckets in every source, so every copy of a doc
+and every one of its postings lives in the same bucket everywhere; a
+bucket task reads only its bucket's docmap part of each source and the
+chunk row groups whose doc range overlaps the bucket, then writes the
+bucket's docmap part and chunk rows with the build's own writers and
+encoder. On sources with no duplicate urls and no tombstones, the merged
+index equals a fresh build of the union corpus, table for table.
 
 Duplicate urls across sources keep the FIRST source's document (the
 reference's incremental have_file semantics: already-indexed files are
@@ -108,9 +108,10 @@ def _row_groups_by_bucket(index_dirs: list[str], num_buckets: int) -> dict:
 
 
 def _merge_bucket(bucket: int, index_dirs: list[str], tombs: list,
-                  row_groups: list, docmap_data: str, chunk_size: int) -> pa.Table:
-    """One target bucket of a merge -> its chunk rows (and its docmap
-    part, written as a side effect)."""
+                  row_groups: list, docmap_data: str,
+                  chunk_size: int) -> tuple[int, pa.Table]:
+    """One target bucket of a merge -> (docs, chunk rows); its docmap
+    part is written as a side effect."""
     # ---- docs: live docs of every source, first source's copy per url
     docs = []
     for si, d in enumerate(index_dirs):
@@ -126,7 +127,7 @@ def _merge_bucket(bucket: int, index_dirs: list[str], tombs: list,
         dup = pc.equal(u.slice(1), u.slice(0, len(u) - 1)).to_numpy(zero_copy_only=False)
         g = g.filter(pa.array(np.concatenate(([True], ~dup))))
     if g.num_rows == 0:
-        return _empty_chunks()
+        return 0, _empty_chunks()
     new_ids = write_docmap_part(docmap_data, bucket, g)
     remap = pa.table({"src": g.column("src"), "old_id": g.column("doc_id"),
                       "doc_id": pa.array(new_ids, pa.uint64()), "dl": g.column("dl")})
@@ -147,9 +148,10 @@ def _merge_bucket(bucket: int, index_dirs: list[str], tombs: list,
             "tf": pa.array(tfs, pa.uint64()),
         }))
     if not posts:
-        return _empty_chunks()
+        return g.num_rows, _empty_chunks()
     joined = pa.concat_tables(posts).join(remap, ["src", "old_id"], join_type="inner")
-    return encode_bucket(joined.select(["term", "doc_id", "tf", "dl"]), chunk_size)
+    return g.num_rows, encode_bucket(joined.select(["term", "doc_id", "tf", "dl"]),
+                                     chunk_size)
 
 
 def merge_indexes(index_dirs: list[str], out_dir: str, *,
@@ -160,15 +162,17 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *,
     source's ``meta.json`` value) and bucket shift, else ValueError.
     Runs the build's phases over the sources instead of a corpus:
 
-    P. one Ray task per target bucket (``build.per_bucket``, no shuffle):
-       read each source's docmap part and the chunk row groups whose
-       [first_doc, last_doc] statistics overlap the bucket (the driver
-       reads only footers), and decode them; drop tombstoned docs and
+    P. one plain Ray task per target bucket (``build.per_bucket``: no
+       Ray Data job, no shuffle): read each source's docmap part and the
+       chunk row groups whose [first_doc, last_doc] statistics overlap
+       the bucket (the driver reads only footers), and decode them; drop tombstoned docs and
        keep the first source's copy of each url; write the docmap part
        with ``build.write_docmap_part`` (the docID contract); map (src,
        old_id) to the new docID with an in-task Arrow join, which drops
        every posting of a dropped doc or of another bucket's doc; sort
-       and encode with ``build.encode_bucket``.
+       and encode with ``build.encode_bucket``; write the chunk rows to
+       ``index/data/part-<bucket>.parquet``. The ``merge-index``
+       metrics.jsonl record lists the per-bucket task records.
     S, D. ``build.corpus_stats`` and ``build.write_dict``.
 
     The driver holds O(num_buckets x row groups) footer entries and the
@@ -195,22 +199,22 @@ def merge_indexes(index_dirs: list[str], out_dir: str, *,
         for f in os.listdir(_data(os.path.join(d, "docmap")))
         if f.startswith("docmap-") and f.endswith(".parquet")
     })
-    if buckets:
-        tombs = [load_tombstones(d) for d in index_dirs]
-        row_groups = _row_groups_by_bucket(index_dirs, num_buckets)
-        docmap_data = _data(docmap_dir)
-        per_bucket(
-            [{"bucket": b} for b in buckets],
-            lambda item: _merge_bucket(item["bucket"], index_dirs, tombs,
-                                       row_groups.get(item["bucket"], []),
-                                       docmap_data, chunk_size),
-        ).write_parquet(_data(index_dir))
+    tombs = [load_tombstones(d) for d in index_dirs]
+    row_groups = _row_groups_by_bucket(index_dirs, num_buckets)
+    docmap_data = _data(docmap_dir)
+    recs = per_bucket(
+        buckets,
+        lambda b: _merge_bucket(b, index_dirs, tombs, row_groups.get(b, []),
+                                docmap_data, chunk_size),
+        _data(index_dir),
+    )
     if not any(f.endswith(".parquet") for f in os.listdir(_data(docmap_dir))):
         # no live doc in any source
         return _write_empty_index(out_dir, num_buckets, chunk_size)
     timings = {"postings_sec": time.time() - t0}
     _commit(docmap_dir, {"phase": "merge-docmap", "sources": index_dirs})
-    _commit(index_dir, {"phase": "merge-index", "sources": index_dirs})
+    _commit(index_dir, {"phase": "merge-index", "sources": index_dirs,
+                        "tasks": len(recs), "buckets": recs})
 
     n_docs, total_dl = corpus_stats(docmap_dir)
     write_dict(index_dir, dict_dir)
@@ -371,9 +375,10 @@ def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
     num_buckets defaults to the base index's own; a different value
     raises ValueError (segments and compaction need one bucket count).
 
-    The delta is ``build_index(..., exclude_segments=every committed
-    segment)``: each bucket task drops the urls that the same bucket of
-    any segment holds as a live (untombstoned) doc, so segments stay
+    The delta is ``build_index(..., checkpoint=False,
+    exclude_segments=every committed segment)``, so the appended segment
+    carries no tokenized staging. Each bucket task drops the urls that
+    the same bucket of any segment holds as a live doc, so segments stay
     url-disjoint — the invariant the query-time merge's exactness rests
     on — and a deleted url that reappears is indexed again. A delta with
     no new document appends no segment. Returns the collection meta
@@ -397,7 +402,8 @@ def update_index(corpus_path, index_dir: str, *, work_dir: str | None = None,
     shutil.rmtree(work_dir, ignore_errors=True)
     delta_meta = build_index(
         corpus_path, delta_dir, num_buckets=num_buckets, chunk_size=chunk_size,
-        input_format=input_format, exclude_segments=list_segments(index_dir),
+        checkpoint=False, input_format=input_format,
+        exclude_segments=list_segments(index_dir),
     )
 
     # ---- append the delta; compact past the ratio (always in merge mode)
